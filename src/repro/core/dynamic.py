@@ -16,6 +16,8 @@ Functional counts are obtained by recounting each core's updated sample with
 the exact sparse-algebra routine and differencing — bit-identical to what an
 incremental kernel computes, with the *time* charged for the incremental
 work only (the recount is a simulator implementation detail; see DESIGN.md).
+A core whose resident sample did not change in a round (no routed edges, or
+only tombstones for absent edges) keeps its previous count without a recount.
 Reservoir and uniform sampling are disabled on this path, matching the
 paper's dynamic experiment which counts exactly.
 """
@@ -213,23 +215,26 @@ class DynamicPimCounter:
     # -------------------------------------------------------------------- update
     def _merge_and_charge(
         self, d: int, new_src: np.ndarray, new_dst: np.ndarray, remap: RemapTable | None
-    ) -> tuple[np.ndarray, np.ndarray, int, float]:
+    ) -> tuple[tuple[np.ndarray, np.ndarray, int] | None, float]:
         """Merge one routed chunk into core ``d``'s resident sample.
 
         Charges the incremental kernel work (batch sort, one merge pass over
         the resident sample, per-new-edge search + intersection) and returns
-        the oriented/sorted effective edge arrays, the effective node count,
-        and the core's compute seconds for this chunk.  The functional recount
-        is left to the caller — the batched path defers it to one pass after
-        the last chunk.
+        the oriented/sorted effective ``(u, v, num_nodes)`` of the merged
+        sample — ``None`` when the chunk routed nothing to ``d``, so the
+        sample and its count are unchanged — and the core's compute seconds
+        for this chunk.  The functional recount is left to the caller — the
+        batched path defers it to one pass after the last chunk.
         """
         dpu = self.dpus.dpus[d]
         dpu.reset_charges()
+        b = int(new_src.size)
+        if b == 0:
+            return None, dpu.compute_seconds()
         old_m = self._src[d].size
         merged_src = np.concatenate([self._src[d], new_src])
         merged_dst = np.concatenate([self._dst[d], new_dst])
         self._src[d], self._dst[d] = merged_src, merged_dst
-        b = int(new_src.size)
         if remap is not None:
             eff_src, eff_dst = apply_remap(remap, merged_src, merged_dst)
             eff_ns, eff_nd = apply_remap(remap, new_src, new_dst)
@@ -239,42 +244,41 @@ class DynamicPimCounter:
             eff_ns, eff_nd = new_src, new_dst
             eff_nodes = self.num_nodes
         u, v, _ = orient_and_sort(eff_src, eff_dst)
-        if b:
-            # Incremental kernel: sort the batch, one merge pass over the
-            # resident sample, then per-new-edge search + intersection.
-            sort_steps = b * max(1, int(np.ceil(np.log2(max(b, 2)))))
-            merge_pass = old_m + b
-            index = build_region_index(u)
-            nu = np.minimum(eff_ns, eff_nd)
-            nv = np.maximum(eff_ns, eff_nd)
-            d_v = index.degrees_of(nv)
-            _, ends_u = index.lookup_many(nu)
-            # Forward neighbors of u strictly greater than v: edges are
-            # (u, v)-sorted, so one key search finds the edge's own slot.
-            keys = u * np.int64(eff_nodes + 1) + v
-            pos = np.searchsorted(keys, nu * np.int64(eff_nodes + 1) + nv, side="right")
-            suffix = np.maximum(ends_u - pos, 0)
-            merge_steps = np.where(d_v > 0, suffix + d_v, 0).sum()
-            remap_instr = (
-                self.costs.remap_instr_per_edge * merge_pass if remap is not None else 0.0
-            )
-            instr = (
-                remap_instr
-                + self.costs.sort_instr_per_step * sort_steps
-                + self.costs.insert_instr_per_edge * merge_pass
-                + self.costs.edge_loop_instr * b
-                + self.costs.binsearch_instr_per_step * index.search_steps() * b
-                + self.costs.merge_instr_per_step * float(merge_steps)
-            )
-            dpu.charge_balanced(instr)
-            # Merge (and remap) passes stream the sample through MRAM
-            # (read + write) plus the counting phase's region reads.
-            passes = 2 + (2 if remap is not None else 0)
-            nbytes = (passes * merge_pass + int(merge_steps)) * self.costs.edge_bytes
-            per = nbytes // dpu.config.num_tasklets
-            for tk in range(dpu.config.num_tasklets):
-                dpu.charge_mram_read(tk, int(per), requests=max(1, b // 8))
-        return u, v, eff_nodes, dpu.compute_seconds()
+        # Incremental kernel: sort the batch, one merge pass over the
+        # resident sample, then per-new-edge search + intersection.
+        sort_steps = b * max(1, int(np.ceil(np.log2(max(b, 2)))))
+        merge_pass = old_m + b
+        index = build_region_index(u)
+        nu = np.minimum(eff_ns, eff_nd)
+        nv = np.maximum(eff_ns, eff_nd)
+        d_v = index.degrees_of(nv)
+        _, ends_u = index.lookup_many(nu)
+        # Forward neighbors of u strictly greater than v: edges are
+        # (u, v)-sorted, so one key search finds the edge's own slot.
+        keys = u * np.int64(eff_nodes + 1) + v
+        pos = np.searchsorted(keys, nu * np.int64(eff_nodes + 1) + nv, side="right")
+        suffix = np.maximum(ends_u - pos, 0)
+        merge_steps = np.where(d_v > 0, suffix + d_v, 0).sum()
+        remap_instr = (
+            self.costs.remap_instr_per_edge * merge_pass if remap is not None else 0.0
+        )
+        instr = (
+            remap_instr
+            + self.costs.sort_instr_per_step * sort_steps
+            + self.costs.insert_instr_per_edge * merge_pass
+            + self.costs.edge_loop_instr * b
+            + self.costs.binsearch_instr_per_step * index.search_steps() * b
+            + self.costs.merge_instr_per_step * float(merge_steps)
+        )
+        dpu.charge_balanced(instr)
+        # Merge (and remap) passes stream the sample through MRAM
+        # (read + write) plus the counting phase's region reads.
+        passes = 2 + (2 if remap is not None else 0)
+        nbytes = (passes * merge_pass + int(merge_steps)) * self.costs.edge_bytes
+        per = nbytes // dpu.config.num_tasklets
+        for tk in range(dpu.config.num_tasklets):
+            dpu.charge_mram_read(tk, int(per), requests=max(1, b // 8))
+        return (u, v, eff_nodes), dpu.compute_seconds()
 
     @staticmethod
     def _endpoint_stream(batch: COOGraph) -> np.ndarray:
@@ -391,17 +395,15 @@ class DynamicPimCounter:
             ).seconds
             times = []
             for d, (new_src, new_dst) in enumerate(part.per_dpu):
-                u, v, eff_nodes, seconds = self._merge_and_charge(
-                    d, new_src, new_dst, remap
-                )
-                final[d] = (u, v, eff_nodes)
+                state, seconds = self._merge_and_charge(d, new_src, new_dst, remap)
+                if state is not None:
+                    final[d] = state
                 times.append(seconds)
             d_k = xfer + cost.launch_latency + (max(times) if times else 0.0)
             self.clock.advance("dynamic", schedule.step(h_k, d_k))
         for d, state in enumerate(final):
             if state is not None:
-                u, v, eff_nodes = state
-                self._raw_counts[d] = _count_forward_sparse(u, v, eff_nodes)
+                self._raw_counts[d] = _count_forward_sparse(*state)
         return self._finish_round(batch, before_total, op="insert")
 
     def apply_update(self, batch: COOGraph) -> DynamicUpdateResult:
@@ -426,8 +428,9 @@ class DynamicPimCounter:
         remap = self._update_mg(batch)
         times = []
         for d, (new_src, new_dst) in enumerate(partition.per_dpu):
-            u, v, eff_nodes, seconds = self._merge_and_charge(d, new_src, new_dst, remap)
-            self._raw_counts[d] = _count_forward_sparse(u, v, eff_nodes)
+            state, seconds = self._merge_and_charge(d, new_src, new_dst, remap)
+            if state is not None:
+                self._raw_counts[d] = _count_forward_sparse(*state)
             times.append(seconds)
         self.clock.advance(
             "dynamic", cost.launch_latency + (max(times) if times else 0.0)
@@ -499,8 +502,10 @@ class DynamicPimCounter:
                     # are not all resident).
                     home = self._canonical_dpus(old_src[dropped], old_dst[dropped])
                     removed_edges += int((home == d).sum())
-                self._src[d] = old_src[keep]
-                self._dst[d] = old_dst[keep]
+                    self._src[d] = old_src[keep]
+                    self._dst[d] = old_dst[keep]
+                    u, v, _ = orient_and_sort(self._src[d], self._dst[d])
+                    self._raw_counts[d] = _count_forward_sparse(u, v, self.num_nodes)
                 # Tombstone search + one compaction pass over the sample.
                 log_m = max(1, int(np.ceil(np.log2(m + 1))))
                 instr = (
@@ -512,8 +517,6 @@ class DynamicPimCounter:
                 per = nbytes // dpu.config.num_tasklets
                 for tk in range(dpu.config.num_tasklets):
                     dpu.charge_mram_read(tk, int(per), requests=max(1, b // 8))
-            u, v, _ = orient_and_sort(self._src[d], self._dst[d])
-            self._raw_counts[d] = _count_forward_sparse(u, v, self.num_nodes)
             times.append(dpu.compute_seconds())
         self.clock.advance(
             "dynamic", cost.launch_latency + (max(times) if times else 0.0)

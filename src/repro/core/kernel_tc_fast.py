@@ -3,9 +3,10 @@
 This is the production counterpart of :mod:`~repro.core.kernel_tc`.  It
 executes the same algorithm — orient, sort, region-index, then per-edge
 binary search + merge intersection (paper Sec. 3.4) — but computes the count
-with sparse-matrix algebra (``(A @ A) .* A`` over the forward adjacency,
-chunked to bound memory) and derives the *cost* a real DPU kernel would incur
-analytically from exact per-edge quantities:
+with sparse-matrix algebra (``(A @ A) .* A`` over a ``(degree, id)``
+re-orientation of the sample, chunked to bound memory) and derives the
+*cost* a real DPU kernel would incur analytically from exact per-edge
+quantities of the id-oriented sample:
 
 * binary search: ``ceil(log2(R + 1))`` steps per edge into the region table;
 * merge: the suffix of ``u``'s region after the current edge plus the full
@@ -41,9 +42,12 @@ from .remap import RemapTable, apply_remap
 
 __all__ = ["CounterFn", "KernelCosts", "FastCountResult", "fast_count", "TriangleCountKernel"]
 
-#: Count hook: ``(u, v, num_nodes, index) -> triangles`` over the oriented,
-#: sorted sample.  Must match ``_count_forward_sparse`` exactly, duplicates
-#: and all — charges are shared, only the count arithmetic is pluggable.
+#: Count hook: ``(u, v, num_nodes, index) -> triangles`` over the id-oriented
+#: (``u < v``), sorted sample the charges are priced on.  Must match
+#: ``_count_forward_sparse`` exactly, duplicates and all; how it orients the
+#: edges internally is its own choice (the default re-orients by
+#: ``(degree, id)``).  Charges are shared, only the count arithmetic is
+#: pluggable.
 CounterFn = Callable[[np.ndarray, np.ndarray, int, RegionIndex], int]
 
 
@@ -99,43 +103,61 @@ def _count_forward_sparse(
 ) -> int:
     """Triangles of an oriented edge list via chunked ``(A @ A) .* A``.
 
-    ``A`` is the (upper-triangular) forward adjacency.  ``(A @ A)[u, w]``
-    counts 2-paths ``u -> v -> w``; masking by ``A`` keeps closed ones.  Row
-    chunks bound the intermediate's nnz by ``chunk_nnz``.
+    The sample arrives in the kernel's id orientation (``u < v``, the order
+    every charge is computed in), but the arithmetic re-orients each edge
+    from its lower to its higher ``(degree, id)`` endpoint (Chiba-Nishizeki)
+    before multiplying.  Any acyclic orientation counts each triangle once,
+    and ``(A @ A)[x, z]`` counts the 2-paths ``x -> y -> z``, so masking by
+    ``A`` keeps the closed ones.  The degree orientation bounds every row's
+    out-degree by ``O(sqrt(m))``, so a hub no longer expands its whole
+    neighbourhood through every neighbour: the wedge count, and with it the
+    scipy product, is what shrinks.  Row chunks bound the intermediate's nnz
+    by ``chunk_nnz``.
 
-    ``(u, v)`` must be lexicographically sorted (the kernel's post-sort
-    state), which lets the CSR structure be assembled directly — ``indptr``
-    from a bincount, ``indices`` = ``v`` — with no conversion sort.
+    Duplicate records are summed into ``A``'s entries, so the count is the
+    multiplicity-weighted ``sum A[x, y] * A[y, z] * A[x, z]``, as before the
+    re-orientation and as the ``fastvec`` counter computes it.
+
+    When ``(u, v)`` is lexicographically sorted (the kernel's post-sort
+    state), the COO-to-CSR pass already emits each row's re-oriented
+    (lower-id) entries ahead of its kept (higher-id) ones, both ascending, so
+    the matrix comes out canonical with no index sort.
     """
     m = int(u.size)
     if m == 0:
         return 0
     n = int(num_nodes)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(u, minlength=n), out=indptr[1:])
-    adj = sp.csr_matrix(
-        (np.ones(m, dtype=np.int64), v.astype(np.int64, copy=False), indptr),
-        shape=(n, n),
-    )
+    deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+    flip = np.take(deg, u) > np.take(deg, v)
+    rows = np.where(flip, v, u)
+    cols = u ^ v ^ rows  # the other endpoint
+    adj = sp.coo_matrix((np.ones(m, dtype=np.int64), (rows, cols)), shape=(n, n)).tocsr()
+    # Wedges: every node pairs each in-neighbour with each out-neighbour (an
+    # upper bound when duplicate records were summed into one entry).
+    out_deg = np.diff(adj.indptr).astype(np.int64)
+    if int(out_deg @ (deg - out_deg)) <= chunk_nnz:
+        return _closed_paths(adj, adj)
     # Wedge work per row: sum over the row's neighbors of their out-degree.
-    out_deg = np.diff(indptr)
+    indptr = adj.indptr
     cs = np.concatenate(([0], np.cumsum(out_deg[adj.indices])))
-    row_wedges = cs[indptr[1:]] - cs[indptr[:-1]]
-    total_wedges = int(row_wedges.sum())
-    if total_wedges <= chunk_nnz:
-        paths = adj @ adj
-        return int(paths.multiply(adj).sum())
+    cum = np.concatenate(([0], np.cumsum(cs[indptr[1:]] - cs[indptr[:-1]])))
     total = 0
     row = 0
-    cum = np.concatenate(([0], np.cumsum(row_wedges)))
     while row < n:
         stop = int(np.searchsorted(cum, cum[row] + chunk_nnz, side="right"))
         stop = min(max(stop - 1, row + 1), n)
-        block = adj[row:stop, :]
-        paths = block @ adj
-        total += int(paths.multiply(block).sum())
+        total += _closed_paths(adj[row:stop, :], adj)
         row = stop
     return total
+
+
+def _closed_paths(rows: sp.csr_matrix, adj: sp.csr_matrix) -> int:
+    """``sum((rows @ adj) .* rows)``: 2-paths from ``rows`` closed by an edge.
+
+    Sums the product's stored values directly; ``.sum()`` on the matrix would
+    first canonicalize it, sorting every row's unsorted product indices.
+    """
+    return int((rows @ adj).multiply(rows).data.sum())
 
 
 def fast_count(

@@ -1,4 +1,4 @@
-"""Searchsorted triangle-counting kernel: same charges, faster wall-clock.
+"""Searchsorted triangle-counting kernel: same charges, other count arithmetic.
 
 This is the ``fastvec`` kernel variant.  It reuses the whole
 :func:`~repro.core.kernel_tc_fast.fast_count` cost pipeline — orient, sort,
@@ -21,6 +21,10 @@ edge arrays:
 Orientation makes the forward adjacency strictly upper-triangular, so
 ``w > v > u`` holds for every candidate with no explicit filtering.  The
 expansion is chunked by candidate count to bound memory on hub-heavy graphs.
+
+Whether this beats the default arithmetic, which re-orients by
+``(degree, id)`` before its sparse product, depends on the graph; the
+measured per-graph seconds are in ``docs/cost_model.md`` section 9.
 
 Because the hook only returns an integer and every charge is computed by the
 shared ``fast_count`` code path, simulated clocks, per-phase totals,

@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import dynamic
 from repro.core.dynamic import DynamicPimCounter
+from repro.core.kernel_tc_fast import _count_forward_sparse
+from repro.core.orient import orient_and_sort
 from repro.graph.coo import COOGraph
 from repro.graph.triangles import count_triangles
 
@@ -159,6 +162,88 @@ class TestDeletionAccounting:
         result = dyn.apply_deletion(batch)
         assert result.removed_edges == 10
         assert dyn.cumulative_edges == graph.num_edges - 10
+
+
+def _absent_edges(graph: COOGraph, limit: int) -> list[tuple[int, int]]:
+    keys = set(graph.edge_keys().tolist())
+    return [
+        (u, u + 1)
+        for u in range(graph.num_nodes - 1)
+        if (u * graph.num_nodes + u + 1) not in keys
+    ][:limit]
+
+
+def _recount(dyn: DynamicPimCounter) -> list[int]:
+    """Every core's count, recomputed from its resident sample."""
+    return [
+        _count_forward_sparse(*orient_and_sort(src, dst)[:2], dyn.num_nodes)
+        for src, dst in zip(dyn._src, dyn._dst)
+    ]
+
+
+@pytest.fixture
+def arith_calls(monkeypatch):
+    """Cores' samples handed to the dynamic path's count arithmetic."""
+    calls = []
+
+    def spy(u, v, num_nodes, *args, **kwargs):
+        calls.append(int(u.size))
+        return _count_forward_sparse(u, v, num_nodes, *args, **kwargs)
+
+    monkeypatch.setattr(dynamic, "_count_forward_sparse", spy)
+    return calls
+
+
+class TestUnchangedCoresSkipRecount:
+    """A core whose resident sample did not change keeps its count: no
+    arithmetic runs for it, and charges and clocks are as before."""
+
+    def test_absent_deletion_is_identical_and_recount_free(self, small_graph, arith_calls):
+        dyn = DynamicPimCounter(small_graph.num_nodes, num_colors=3, seed=4)
+        twin = DynamicPimCounter(small_graph.num_nodes, num_colors=3, seed=4)
+        dyn.apply_update(small_graph)
+        twin.apply_update(small_graph)
+        arith_calls.clear()
+        raw_before = dyn._raw_counts.copy()
+        absent = COOGraph.from_edges(_absent_edges(small_graph, 10), num_nodes=small_graph.num_nodes)
+        assert absent.num_edges > 0
+        result = dyn.apply_deletion(absent)
+        assert arith_calls == []
+        assert result.to_dict() == twin.apply_deletion(absent).to_dict()
+        assert result.triangles_added == 0 and result.removed_edges == 0
+        assert result.round_seconds > 0  # tombstone search is still charged
+        assert np.array_equal(dyn._raw_counts, raw_before)
+        assert dyn._raw_counts.tolist() == _recount(dyn)
+
+    def test_mixed_deletion_recounts_only_shrunk_cores(self, small_graph, arith_calls):
+        dyn = DynamicPimCounter(small_graph.num_nodes, num_colors=3, seed=4)
+        dyn.apply_update(small_graph)
+        arith_calls.clear()
+        sizes_before = [src.size for src in dyn._src]
+        absent = _absent_edges(small_graph, 10)
+        batch = COOGraph(
+            np.concatenate([small_graph.src[:2], np.array([u for u, _ in absent])]),
+            np.concatenate([small_graph.dst[:2], np.array([v for _, v in absent])]),
+            small_graph.num_nodes,
+        )
+        dyn.apply_deletion(batch)
+        shrunk = [d for d, src in enumerate(dyn._src) if src.size < sizes_before[d]]
+        assert 0 < len(arith_calls) == len(shrunk) < dyn.partitioner.num_dpus
+        assert dyn._raw_counts.tolist() == _recount(dyn)
+        remaining = COOGraph(small_graph.src[2:], small_graph.dst[2:], small_graph.num_nodes)
+        assert dyn.triangles == count_triangles(remaining)
+
+    @pytest.mark.parametrize("batch_edges", [None, 1])
+    def test_insert_recounts_only_routed_cores(self, small_graph, arith_calls, batch_edges):
+        dyn = DynamicPimCounter(small_graph.num_nodes, num_colors=3, seed=4, batch_edges=batch_edges)
+        head, tail = small_graph.slice(0, 300), small_graph.slice(300, 302)
+        dyn.apply_update(head)
+        arith_calls.clear()
+        routed = int((dyn.partitioner.assign(tail).counts > 0).sum())
+        dyn.apply_update(tail)
+        assert 0 < len(arith_calls) == routed < dyn.partitioner.num_dpus
+        assert dyn._raw_counts.tolist() == _recount(dyn)
+        assert dyn.triangles == count_triangles(small_graph.slice(0, 302))
 
 
 class TestUpdateResultSchema:

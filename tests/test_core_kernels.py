@@ -3,6 +3,8 @@ and the fast kernel's cost charges soundly bound the reference's real work."""
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from repro.core.kernel_tc_fast import (
 from repro.core.orient import orient_and_sort
 from repro.graph.generators import erdos_renyi, hub_graph
 from repro.graph.triangles import count_triangles
+from repro.testing.strategies import graph_cases
 
 from conftest import graph_strategy
 
@@ -100,6 +103,77 @@ class TestSparseCounting:
 
     def test_empty(self):
         assert _count_forward_sparse(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 5) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=graph_cases(), raw=st.booleans())
+    def test_matches_weighted_reference(self, case, raw):
+        """Chunked or not, over every fuzz family and the raw streams (whose
+        adversarial family carries duplicate and reversed records), the
+        degree-oriented arithmetic equals the multiplicity-weighted count."""
+        g = case.raw if raw else case.graph
+        u, v, _ = orient_and_sort(g.src, g.dst)
+        expected = _weighted_reference(u, v)
+        assert _count_forward_sparse(u, v, g.num_nodes) == expected
+        assert _count_forward_sparse(u, v, g.num_nodes, chunk_nnz=128) == expected
+        if not raw:
+            assert expected == count_triangles_reference(g.src, g.dst).triangles
+            if case.exact is not None:
+                assert expected == case.exact
+
+    @pytest.mark.parametrize("chunk_nnz", [1, 128, 1 << 24])
+    def test_hub_with_smallest_id(self, chunk_nnz):
+        """Node 0 is adjacent to every leaf and a path runs through the
+        leaves: each path edge closes one triangle with the hub, which the
+        id orientation expands as a source and the degree orientation sinks."""
+        n = 200
+        leaves = np.arange(1, n, dtype=np.int64)
+        src = np.concatenate([np.zeros(n - 1, dtype=np.int64), leaves[:-1]])
+        dst = np.concatenate([leaves, leaves[1:]])
+        u, v, _ = orient_and_sort(src, dst)
+        assert _count_forward_sparse(u, v, n, chunk_nnz=chunk_nnz) == n - 2
+
+    @pytest.mark.parametrize("chunk_nnz", [1, 128, 1 << 24])
+    def test_equal_degrees_break_ties_by_id(self, chunk_nnz):
+        """Every node of K_8 and of the triangular prism has the same degree,
+        so the orientation rests on the id tie-break alone."""
+        clique = [(a, b) for a in range(8) for b in range(a + 1, 8)]
+        prism = [(8, 9), (9, 10), (8, 10), (11, 12), (12, 13), (11, 13),
+                 (8, 11), (9, 12), (10, 13)]
+        for edges, n, triangles in ((clique, 8, 56), (prism, 14, 2)):
+            src, dst = (np.array(side, dtype=np.int64) for side in zip(*edges))
+            u, v, _ = orient_and_sort(src, dst)
+            assert _count_forward_sparse(u, v, n, chunk_nnz=chunk_nnz) == triangles
+
+    def test_duplicate_records_multiply(self):
+        """Duplicates weight each triangle by the product of its three edge
+        multiplicities, as the id-ordered ``(A @ A) .* A`` did."""
+        src = np.array([0, 0, 1, 0, 1, 1], dtype=np.int64)
+        dst = np.array([1, 1, 2, 2, 2, 2], dtype=np.int64)
+        u, v, _ = orient_and_sort(src, dst)
+        assert _count_forward_sparse(u, v, 3) == 2 * 1 * 3 == _weighted_reference(u, v)
+
+    def test_one_arithmetic_behind_every_caller(self):
+        """The static kernel, the probe kernel and the dynamic counter all
+        look the count arithmetic up as the same module-level function, the
+        seam the benchmark's ``core.arith`` span wraps."""
+        from repro.core import dynamic, kernel_tc_fast, kernel_tc_probe
+
+        assert dynamic._count_forward_sparse is kernel_tc_fast._count_forward_sparse
+        assert kernel_tc_probe._count_forward_sparse is kernel_tc_fast._count_forward_sparse
+
+
+def _weighted_reference(u: np.ndarray, v: np.ndarray) -> int:
+    """Brute-force ``sum A[a, b] * A[b, c] * A[a, c]`` over ``a < b < c``,
+    ``A`` holding each oriented record's multiplicity."""
+    mult = Counter(zip(u.tolist(), v.tolist()))
+    succ = defaultdict(set)
+    for a, b in mult:
+        succ[a].add(b)
+    return sum(
+        m_ab * mult[(b, c)] * mult[(a, c)]
+        for (a, b), m_ab in mult.items()
+        for c in succ[a] & succ[b]
+    )
 
 
 class TestKernelOnDpu:
