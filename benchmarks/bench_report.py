@@ -39,7 +39,6 @@ import time
 BENCH_SCHEMA = "repro-bench-telemetry/1"
 INGEST_SCHEMA = "repro-bench-ingest/1"
 IMBALANCE_SCHEMA = "repro-bench-imbalance/2"
-KERNEL_SCHEMA = "repro-bench-kernel/1"
 
 
 def run_sweep(
@@ -238,73 +237,6 @@ def run_imbalance_sweep(
     }
 
 
-def run_kernel_sweep(tier: str, seed: int, num_colors: int | None = None) -> dict:
-    """``fastvec``-vs-``fast`` kernel comparison -> ``BENCH_kernel.json``.
-
-    One record per graph: both variants' counts (must agree), the simulated
-    phase ledger and kernel charge aggregate of the ``merge`` run, a
-    ``simulated_identical`` flag (1.0 iff *every* simulated quantity —
-    phases, per-DPU counts, instruction/DMA charges — is bit-identical
-    between the variants), and both wall-clocks.  bench_diff hard-gates the
-    simulated side to zero drift and treats the wall-clock columns as
-    warn-only: the vectorized kernel is a wall-clock optimization and must
-    never move a simulated number.
-    """
-    import numpy as np
-
-    from repro.core.api import PimTriangleCounter
-    from repro.experiments.common import DEFAULT_COLORS, paper_graph_order_by_max_degree
-    from repro.graph.datasets import get_dataset
-
-    colors = num_colors or DEFAULT_COLORS[tier]
-    runs = []
-    for name in paper_graph_order_by_max_degree(tier):
-        graph = get_dataset(name, tier)
-
-        def _run(variant: str):
-            counter = PimTriangleCounter(
-                num_colors=colors, seed=seed, kernel_variant=variant
-            )
-            start = time.perf_counter()
-            result = counter.count(graph)
-            return result, time.perf_counter() - start
-
-        fast, fast_s = _run("merge")
-        fastvec, fastvec_s = _run("fastvec")
-        k_fast, k_vec = fast.kernel, fastvec.kernel
-        simulated_identical = (
-            dict(fast.clock.phases) == dict(fastvec.clock.phases)
-            and np.array_equal(fast.per_dpu_counts, fastvec.per_dpu_counts)
-            and (k_fast.instructions, k_fast.dma_requests, k_fast.dma_bytes,
-                 k_fast.max_dpu_compute_seconds)
-            == (k_vec.instructions, k_vec.dma_requests, k_vec.dma_bytes,
-                k_vec.max_dpu_compute_seconds)
-        )
-        runs.append(
-            {
-                "graph": name,
-                "num_edges": int(graph.num_edges),
-                "count": fast.count,
-                "counts_match": fastvec.count == fast.count,
-                "simulated_identical": float(simulated_identical),
-                "phases": {k: float(v) for k, v in fast.clock.phases.items()},
-                "kernel_instructions": float(k_fast.instructions),
-                "kernel_dma_requests": float(k_fast.dma_requests),
-                "kernel_dma_bytes": float(k_fast.dma_bytes),
-                "wall_seconds_fast": fast_s,
-                "wall_seconds_fastvec": fastvec_s,
-                "speedup_fastvec": fast_s / fastvec_s if fastvec_s > 0 else 1.0,
-            }
-        )
-    return {
-        "schema": KERNEL_SCHEMA,
-        "tier": tier,
-        "seed": seed,
-        "colors": colors,
-        "runs": runs,
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="fig3-style telemetry sweep -> BENCH_telemetry.json"
@@ -327,11 +259,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--misra-gries", default="256:16", metavar="K:t",
                         help="summary size and remap count for the "
                              "--imbalance-out remapped runs (default 256:16)")
-    parser.add_argument("--kernel-out", default=None, metavar="PATH",
-                        help="also write the fastvec-vs-fast kernel "
-                             "comparison artifact (BENCH_kernel.json): "
-                             "wall-clock of both variants, simulated "
-                             "metrics gated to zero drift")
     parser.add_argument("--flamegraph-dir", default=None, metavar="DIR",
                         help="also write one simulated-clock flamegraph SVG "
                              "per swept graph into DIR (created if missing)")
@@ -389,26 +316,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         if mismatches:
             print(f"MISMATCHED GRAPHS: {', '.join(mismatches)}", file=sys.stderr)
-            return 1
-    if args.kernel_out:
-        kernel = run_kernel_sweep(args.tier, args.seed, args.colors)
-        with open(args.kernel_out, "w") as fh:
-            json.dump(kernel, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        bad = [
-            r["graph"]
-            for r in kernel["runs"]
-            if not (r["counts_match"] and r["simulated_identical"] == 1.0)
-        ]
-        speedups = [
-            f"{r['graph']} x{r['speedup_fastvec']:.2f}" for r in kernel["runs"]
-        ]
-        print(
-            f"{args.kernel_out}: {len(kernel['runs'])} fastvec-vs-fast "
-            f"comparisons — {', '.join(speedups)}"
-        )
-        if bad:
-            print(f"SIMULATED DRIFT: {', '.join(bad)}", file=sys.stderr)
             return 1
     return 0
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .common.units import fmt_time
 from .core.api import PimTriangleCounter
+from .core.host import KERNEL_VARIANTS
 from .pimsim.config import EXECUTOR_NAMES
 from .graph.coo import COOGraph
 from .graph.datasets import DATASET_NAMES, get_dataset
@@ -109,12 +110,11 @@ def _build_parser() -> argparse.ArgumentParser:
                              "scatter); default: disabled "
                              "(or $REPRO_REBALANCE_CV)")
     parser.add_argument("--kernel", default=None,
-                        choices=("merge", "fastvec", "probe"),
+                        choices=KERNEL_VARIANTS,
                         help="counting kernel variant: 'merge' (the paper's "
-                             "Sec. 3.4 merge-intersection), 'fastvec' (same "
-                             "charges, numpy searchsorted hot path — changes "
-                             "wall-clock only), or 'probe' (binary-search "
-                             "wedge checks, a different cost model) "
+                             "Sec. 3.4 merge-intersection) or 'probe' "
+                             "(binary-search wedge checks, a different cost "
+                             "model; same count arithmetic) "
                              "(default: $REPRO_KERNEL or merge)")
     parser.add_argument("--local", action="store_true",
                         help="also compute per-node (local) triangle counts")

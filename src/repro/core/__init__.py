@@ -6,7 +6,6 @@ from .host import PimTcOptions, PimTcPipeline
 from .kernel_tc import ReferenceCounts, count_triangles_reference
 from .local import LocalCountKernel, local_counts_from_arrays
 from .kernel_tc_fast import FastCountResult, KernelCosts, TriangleCountKernel, fast_count
-from .kernel_tc_vec import VecTriangleCountKernel, vec_count
 from .orient import OrientStats, orient_and_sort
 from .region_index import RegionIndex, build_region_index
 from .remap import RemapTable, apply_remap
@@ -27,8 +26,6 @@ __all__ = [
     "TriangleCountKernel",
     "FastCountResult",
     "fast_count",
-    "VecTriangleCountKernel",
-    "vec_count",
     "ReferenceCounts",
     "count_triangles_reference",
     "OrientStats",

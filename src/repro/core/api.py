@@ -76,9 +76,8 @@ class PimTriangleCounter:
         if rebalance_cv is None:
             env_cv = os.environ.get("REPRO_REBALANCE_CV")
             rebalance_cv = float(env_cv) if env_cv else None
-        # Counting kernel ("merge" / "fastvec" / "probe"): "fastvec" is the
-        # wall-clock-only variant — simulated metrics are pinned bit-identical
-        # to "merge" by the differential grid.
+        # Counting kernel ("merge" / "probe") follows the same pattern; an
+        # unknown value is rejected by PimTcOptions, never defaulted.
         if kernel_variant is None:
             kernel_variant = os.environ.get("REPRO_KERNEL") or "merge"
         if options is None:

@@ -51,7 +51,12 @@ from .kernel_tc_fast import KernelCosts, TriangleCountKernel
 from .remap import RemapTable
 from .result import KernelAggregate, TcResult
 
-__all__ = ["PimTcOptions", "PimTcPipeline"]
+__all__ = ["KERNEL_VARIANTS", "PimTcOptions", "PimTcPipeline"]
+
+#: Counting-kernel variants: the paper's merge intersection (Sec. 3.4) and
+#: the binary-search probe ablation.  Both count with the same arithmetic;
+#: they differ only in the charged cost model.
+KERNEL_VARIANTS = ("merge", "probe")
 
 
 def _insert_sample(dpu: Dpu, payload: tuple) -> tuple[int, float]:
@@ -174,9 +179,8 @@ class PimTcOptions:
     mg_host_cycles_per_edge: float = 25.0
     #: Fraction of MRAM reserved for the region table, stats and stack.
     mram_reserve_fraction: float = 0.0625
-    #: Counting kernel: "merge" (the paper's, Sec. 3.4), "fastvec"
-    #: (identical charges, searchsorted count arithmetic; see
-    #: core.kernel_tc_vec) or "probe" (binary-search wedge checks; see
+    #: Counting kernel, one of ``KERNEL_VARIANTS``: "merge" (the paper's,
+    #: Sec. 3.4) or "probe" (binary-search wedge checks; see
     #: core.kernel_tc_probe).
     kernel_variant: str = "merge"
     #: Host-side per-core batch buffer, in edges.  The paper's host flushes
@@ -212,9 +216,9 @@ class PimTcOptions:
             )
         if self.rebalance_cv is not None and self.rebalance_cv < 0:
             raise ConfigurationError("rebalance_cv must be >= 0 or None")
-        if self.kernel_variant not in ("merge", "fastvec", "probe"):
+        if self.kernel_variant not in KERNEL_VARIANTS:
             raise ConfigurationError(
-                f"kernel_variant must be 'merge', 'fastvec' or 'probe', "
+                f"kernel_variant must be one of {KERNEL_VARIANTS}, "
                 f"got {self.kernel_variant!r}"
             )
         if self.transfer_batch_edges is not None and self.transfer_batch_edges < 1:
@@ -320,12 +324,6 @@ class PimTcPipeline:
             from .kernel_tc_probe import ProbeTriangleCountKernel
 
             kernel = ProbeTriangleCountKernel(
-                num_nodes=graph.num_nodes, costs=opts.kernel_costs
-            )
-        elif opts.kernel_variant == "fastvec":
-            from .kernel_tc_vec import VecTriangleCountKernel
-
-            kernel = VecTriangleCountKernel(
                 num_nodes=graph.num_nodes, costs=opts.kernel_costs
             )
         else:

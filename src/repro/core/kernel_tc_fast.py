@@ -31,24 +31,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from typing import Callable
-
 from ..common.errors import KernelLaunchError
 from ..pimsim.dpu import Dpu
 from ..pimsim.wram import WramPlan
 from .orient import orient_and_sort
-from .region_index import RegionIndex, build_region_index
+from .region_index import build_region_index
 from .remap import RemapTable, apply_remap
 
-__all__ = ["CounterFn", "KernelCosts", "FastCountResult", "fast_count", "TriangleCountKernel"]
-
-#: Count hook: ``(u, v, num_nodes, index) -> triangles`` over the id-oriented
-#: (``u < v``), sorted sample the charges are priced on.  Must match
-#: ``_count_forward_sparse`` exactly, duplicates and all; how it orients the
-#: edges internally is its own choice (the default re-orients by
-#: ``(degree, id)``).  Charges are shared, only the count arithmetic is
-#: pluggable.
-CounterFn = Callable[[np.ndarray, np.ndarray, int, RegionIndex], int]
+__all__ = ["KernelCosts", "FastCountResult", "fast_count", "TriangleCountKernel"]
 
 
 @dataclass(frozen=True)
@@ -115,8 +105,8 @@ def _count_forward_sparse(
     by ``chunk_nnz``.
 
     Duplicate records are summed into ``A``'s entries, so the count is the
-    multiplicity-weighted ``sum A[x, y] * A[y, z] * A[x, z]``, as before the
-    re-orientation and as the ``fastvec`` counter computes it.
+    multiplicity-weighted ``sum A[x, y] * A[y, z] * A[x, z]`` under any
+    acyclic orientation.
 
     When ``(u, v)`` is lexicographically sorted (the kernel's post-sort
     state), the COO-to-CSR pass already emits each row's re-oriented
@@ -166,19 +156,13 @@ def fast_count(
     num_nodes: int,
     costs: KernelCosts | None = None,
     num_tasklets: int = 16,
-    counter: "CounterFn | None" = None,
 ) -> FastCountResult:
     """Count triangles over one sample and compute its per-tasklet cost split.
 
-    ``counter`` swaps the host-side arithmetic that produces the *count* while
-    every *charge* below keeps flowing through the same analytic formulas —
-    this is what lets alternative count implementations (e.g. the
-    searchsorted kernel in :mod:`~repro.core.kernel_tc_vec`) stay bit-identical
-    on simulated clocks, charges and ``kernel_stats`` by construction: the
-    cost model never sees which arithmetic ran.  The callable receives the
-    oriented, lexicographically sorted ``(u, v)`` arrays, ``num_nodes`` and the
-    prebuilt :class:`~repro.core.region_index.RegionIndex`, and must return
-    the exact triangle count (duplicate-edge multiplicities included).
+    The count comes from :func:`_count_forward_sparse`; every *charge* is
+    priced on the id-oriented, sorted ``(u, v)`` arrays of
+    :func:`~repro.core.orient.orient_and_sort` and its region index, so the
+    cost model never sees how the arithmetic orients the edges.
     """
     costs = costs or KernelCosts()
     u, v, ostats = orient_and_sort(src, dst, wram_run_edges=costs.edge_buffer_edges)
@@ -189,10 +173,7 @@ def fast_count(
         zeros = np.zeros(t, dtype=np.float64)
         return FastCountResult(0, 0, 0, 0, 0, zeros, zeros.copy(), zeros.copy(), 0)
 
-    if counter is None:
-        triangles = _count_forward_sparse(u, v, num_nodes)
-    else:
-        triangles = counter(u, v, num_nodes, index)
+    triangles = _count_forward_sparse(u, v, num_nodes)
 
     # --- per-edge cost quantities -------------------------------------------
     bs_steps = index.search_steps()
@@ -279,16 +260,6 @@ class TriangleCountKernel:
     costs: KernelCosts = field(default_factory=KernelCosts)
     name: str = "triangle_count"
 
-    def _counter(self) -> CounterFn | None:
-        """Count hook handed to :func:`fast_count`; ``None`` = sparse matmul.
-
-        Subclasses (``VecTriangleCountKernel``) override this to swap the
-        count arithmetic without touching charges, traces or MRAM layout —
-        they deliberately keep ``name`` as ``"triangle_count"`` so trace
-        events and span attributes stay bit-identical too.
-        """
-        return None
-
     def wram_plan(self, dpu: Dpu) -> WramPlan:
         c = self.costs
         return WramPlan(
@@ -326,7 +297,6 @@ class TriangleCountKernel:
             num_nodes,
             costs=self.costs,
             num_tasklets=dpu.config.num_tasklets,
-            counter=self._counter(),
         )
         dpu.charge_instructions_all(result.per_tasklet_instr)
         for tk in range(dpu.config.num_tasklets):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RegionIndex", "build_region_index", "expand_slices"]
+__all__ = ["RegionIndex", "build_region_index"]
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,8 @@ class RegionIndex:
     def lookup(self, node: int) -> tuple[int, int]:
         """Binary search one node; returns ``(start, end)`` (empty if absent).
 
-        Mirrors the DPU's per-edge search; the vectorized kernel uses
-        :meth:`lookup_many`.
+        Mirrors the DPU's per-edge search; the production kernel prices
+        whole samples with :meth:`lookup_many`.
         """
         i = int(np.searchsorted(self.nodes, node))
         if i < self.nodes.size and self.nodes[i] == node:
@@ -65,27 +65,6 @@ class RegionIndex:
     def table_bytes(self, entry_bytes: int = 8) -> int:
         """MRAM footprint of the table (node + offset per region)."""
         return self.num_regions * entry_bytes
-
-
-def expand_slices(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten contiguous ``[start, end)`` spans into flat gather indices.
-
-    Returns ``(positions, owner)``: span ``i``'s positions
-    ``starts[i] .. ends[i]-1`` appear contiguously in ``positions`` and
-    ``owner`` records which span each position came from.  The vectorized
-    kernel uses this to expand per-edge adjacency slices into one flat
-    candidate array in a single pass — no Python loop over edges.
-    """
-    counts = np.asarray(ends, dtype=np.int64) - np.asarray(starts, dtype=np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    owner = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    within = np.arange(total, dtype=np.int64) - offsets[owner]
-    positions = np.asarray(starts, dtype=np.int64)[owner] + within
-    return positions, owner
 
 
 def build_region_index(u_sorted: np.ndarray) -> RegionIndex:

@@ -1,7 +1,7 @@
 """Differential runner: one graph, every implementation, identical answers.
 
 The repo counts triangles in many independent ways — the slow reference
-tasklet kernel, the vectorized kernel, the probe kernel, the full PIM
+tasklet kernel, the production (merge) kernel, the probe kernel, the full PIM
 pipeline under three host execution engines, two CPU baseline models, and
 two test-only references.  On the exact path (no sampling) all of them must
 return *bit-identical* integer counts, and the three execution engines must
@@ -28,11 +28,10 @@ from ..baselines.cpu_coo import CpuCooCounter
 from ..baselines.cpu_csr import CpuCsrCounter
 from ..baselines.reference import count_triangles_dense, count_triangles_sets
 from ..core.api import PimTriangleCounter
-from ..core.host import PimTcOptions
+from ..core.host import KERNEL_VARIANTS, PimTcOptions
 from ..core.kernel_tc import count_triangles_reference
 from ..core.kernel_tc_fast import fast_count
 from ..core.kernel_tc_probe import probe_count
-from ..core.kernel_tc_vec import vec_count
 from ..core.result import TcResult
 from ..graph.coo import COOGraph
 from ..graph.triangles import count_triangles
@@ -48,13 +47,13 @@ __all__ = [
 ]
 
 #: Kernel-level counters exercised on the raw edge arrays.
-KERNEL_NAMES: tuple[str, ...] = ("reference", "fast", "fastvec", "probe")
+KERNEL_NAMES: tuple[str, ...] = ("reference", "fast", "probe")
 #: Host execution engines the full pipeline is run under.
 EXECUTOR_GRID: tuple[str, ...] = ("serial", "thread", "process")
 #: Independent baseline implementations.
 BASELINE_NAMES: tuple[str, ...] = ("reference_dense", "reference_sets", "cpu_coo", "cpu_csr")
 #: Pipeline counting-kernel variants (PimTcOptions.kernel_variant).
-PIPELINE_VARIANTS: tuple[str, ...] = ("merge", "fastvec", "probe")
+PIPELINE_VARIANTS: tuple[str, ...] = KERNEL_VARIANTS
 #: Edge-partitioning strategies; any partition-coloring is exact under the
 #: monochromatic correction, so every strategy must agree bit-for-bit.
 PARTITIONER_GRID: tuple[str, ...] = ("hash", "degree", "auto")
@@ -168,10 +167,6 @@ class DifferentialRunner:
             out["kernel:fast"] = fast_count(
                 graph.src, graph.dst, graph.num_nodes
             ).triangles
-        if "fastvec" in self.kernels:
-            out["kernel:fastvec"] = vec_count(
-                graph.src, graph.dst, graph.num_nodes
-            ).triangles
         if "probe" in self.kernels:
             out["kernel:probe"] = probe_count(
                 graph.src, graph.dst, graph.num_nodes
@@ -226,7 +221,6 @@ class DifferentialRunner:
         for label, count in self.baseline_counts(g).items():
             report.record(label, count)
 
-        serial_by_cell: dict[tuple[str, str], TcResult] = {}
         for variant in self.variants:
             for part in self.partitioners:
                 results = self.pipeline_results(g, variant, part)
@@ -236,16 +230,6 @@ class DifferentialRunner:
                 for engine, result in results.items():
                     report.record(f"pipeline:{tag}×{engine}", result.count)
                 self._check_parity(tag, results, report)
-                if "serial" in results:
-                    serial_by_cell[(variant, part)] = results["serial"]
-        # Cross-variant anchor: fastvec differs from merge only in count
-        # arithmetic, so its serial run must match the serial fast anchor on
-        # every simulated artifact, per partitioner.
-        for part in self.partitioners:
-            merge = serial_by_cell.get(("merge", part))
-            fastvec = serial_by_cell.get(("fastvec", part))
-            if merge is not None and fastvec is not None:
-                self._check_fastvec_anchor(part, merge, fastvec, report)
         return report
 
     def _check_parity(
@@ -294,38 +278,3 @@ class DifferentialRunner:
                 report.parity_failures.append(
                     f"{prefix}: imbalance ledger differs"
                 )
-
-    def _check_fastvec_anchor(
-        self,
-        partitioner: str,
-        merge: TcResult,
-        fastvec: TcResult,
-        report: DifferentialReport,
-    ) -> None:
-        """``fastvec`` vs the serial ``fast`` (merge) anchor: only the count
-        arithmetic differs between the variants, so *every* simulated artifact
-        — clocks, charges, traces, spans, metrics, the imbalance ledger —
-        must be bit-identical, not just the counts.  This is the cross-variant
-        leg of the determinism contract: wall-clock is the only thing the
-        vectorized kernel is allowed to change.
-        """
-        prefix = f"parity[fastvec×{partitioner}] fastvec vs merge (serial)"
-        if not np.array_equal(fastvec.per_dpu_counts, merge.per_dpu_counts):
-            report.parity_failures.append(f"{prefix}: per-DPU counts differ")
-        if dict(fastvec.clock.phases) != dict(merge.clock.phases):
-            report.parity_failures.append(
-                f"{prefix}: simulated phase totals differ "
-                f"({dict(fastvec.clock.phases)!r} != {dict(merge.clock.phases)!r})"
-            )
-        if _charge_signature(fastvec) != _charge_signature(merge):
-            report.parity_failures.append(f"{prefix}: charge ledger differs")
-        if _trace_tuples(fastvec) != _trace_tuples(merge):
-            report.parity_failures.append(f"{prefix}: trace events differ")
-        if _span_signature(fastvec) != _span_signature(merge):
-            report.parity_failures.append(f"{prefix}: telemetry span tree differs")
-        a_snap = merge.telemetry.metrics.snapshot() if merge.telemetry else {}
-        b_snap = fastvec.telemetry.metrics.snapshot() if fastvec.telemetry else {}
-        if a_snap != b_snap:
-            report.parity_failures.append(f"{prefix}: metrics snapshot differs")
-        if _ledger_signature(fastvec) != _ledger_signature(merge):
-            report.parity_failures.append(f"{prefix}: imbalance ledger differs")

@@ -79,17 +79,52 @@ class TestDiffDocuments:
 
     def test_small_drift_within_threshold_passes(self, bench_diff, telemetry_doc):
         current = copy.deepcopy(telemetry_doc)
-        current["runs"][0]["phases"]["triangle_count"] *= 1.03
+        current["runs"][0]["throughput_edges_per_ms"] *= 0.97
+        current["runs"][1]["load_balance"] *= 1.03
         summary = bench_diff.diff_documents(telemetry_doc, current)
         assert summary["failed"] is False
 
     def test_improvement_never_fails(self, bench_diff, telemetry_doc):
         current = copy.deepcopy(telemetry_doc)
-        current["runs"][0]["phases"]["triangle_count"] *= 0.5
+        current["runs"][0]["load_balance"] *= 0.5
         current["runs"][0]["throughput_edges_per_ms"] *= 2.0
         summary = bench_diff.diff_documents(telemetry_doc, current)
         assert summary["failed"] is False
         assert any(e["verdict"] == "improved" for e in summary["entries"])
+
+    @pytest.mark.parametrize("factor", [1.03, 0.5])
+    def test_phase_totals_are_exact(self, bench_diff, telemetry_doc, factor):
+        """Simulated phase totals are bit-identical across machines: any
+        drift fails the gate, whatever the threshold or direction."""
+        current = copy.deepcopy(telemetry_doc)
+        current["runs"][0]["phases"]["triangle_count"] *= factor
+        summary = bench_diff.diff_documents(telemetry_doc, current, threshold=10.0)
+        assert summary["failed"] is True
+        assert any("phases.triangle_count" in f for f in summary["failures"])
+
+    @pytest.mark.parametrize(
+        "metric", ["kernel.instructions", "kernel.dma_requests", "kernel.dma_bytes"]
+    )
+    def test_one_unit_kernel_charge_drift_fails(
+        self, bench_diff, telemetry_doc, metric
+    ):
+        """Metric names contain dots; the rules must still reach them."""
+        baseline = copy.deepcopy(telemetry_doc)
+        for run in baseline["runs"]:
+            run["metrics"] = {
+                "kernel.instructions": {"kind": "counter", "value": 2103660.0},
+                "kernel.dma_requests": {"kind": "counter", "value": 12337.0},
+                "kernel.dma_bytes": {"kind": "counter", "value": 1144224.0},
+            }
+        clean = bench_diff.diff_documents(baseline, baseline)
+        assert clean["failed"] is False
+        gated = {e["metric"] for e in clean["entries"]}
+        assert f"metrics.{metric}.value" in gated
+        current = copy.deepcopy(baseline)
+        current["runs"][1]["metrics"][metric]["value"] += 1
+        summary = bench_diff.diff_documents(baseline, current, threshold=10.0)
+        assert summary["failed"] is True
+        assert any(f"wikipedia.metrics.{metric}.value" in f for f in summary["failures"])
 
     def test_count_change_fails_regardless_of_threshold(
         self, bench_diff, telemetry_doc
@@ -222,7 +257,7 @@ class TestCli:
         base.write_text(json.dumps(telemetry_doc))
         regressed = copy.deepcopy(telemetry_doc)
         for run in regressed["runs"]:
-            run["phases"]["triangle_count"] *= 1.20
+            run["throughput_edges_per_ms"] *= 0.80
         cur = tmp_path / "cur.json"
         cur.write_text(json.dumps(regressed))
         out = tmp_path / "summary.json"

@@ -64,6 +64,12 @@ class TestDatasetSpecs:
         with pytest.raises(SystemExit):
             main(["dataset:orkut", "--misra-gries", "1024"])
 
+    def test_retired_kernel_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dataset:orkut", "--tier", "tiny", "--kernel", "fastvec"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'fastvec'" in capsys.readouterr().err
+
     def test_partitioner_flag(self, capsys):
         truth = count_triangles(get_dataset("wikipedia", "tiny"))
         assert main(

@@ -84,9 +84,14 @@ class TestKernelOnDpu:
 
 
 class TestPipelineVariant:
-    def test_option_validated(self):
-        with pytest.raises(ConfigurationError):
-            PimTcOptions(kernel_variant="quantum")
+    def test_option_validated(self, monkeypatch):
+        # "fastvec" is a retired variant: rejected, never mapped to "merge".
+        for variant in ("quantum", "fastvec"):
+            with pytest.raises(ConfigurationError):
+                PimTcOptions(kernel_variant=variant)
+            monkeypatch.setenv("REPRO_KERNEL", variant)
+            with pytest.raises(ConfigurationError):
+                PimTriangleCounter()
 
     def test_probe_pipeline_exact(self, small_graph):
         counter = PimTriangleCounter(num_colors=3, seed=2).with_options(

@@ -124,13 +124,17 @@ class TestSparseCounting:
     def test_hub_with_smallest_id(self, chunk_nnz):
         """Node 0 is adjacent to every leaf and a path runs through the
         leaves: each path edge closes one triangle with the hub, which the
-        id orientation expands as a source and the degree orientation sinks."""
+        id orientation expands as a source and the degree orientation sinks.
+        The star alone (leaves with empty forward adjacency) and the path
+        alone (one-entry rows) close nothing."""
         n = 200
         leaves = np.arange(1, n, dtype=np.int64)
-        src = np.concatenate([np.zeros(n - 1, dtype=np.int64), leaves[:-1]])
-        dst = np.concatenate([leaves, leaves[1:]])
-        u, v, _ = orient_and_sort(src, dst)
-        assert _count_forward_sparse(u, v, n, chunk_nnz=chunk_nnz) == n - 2
+        star = (np.zeros(n - 1, dtype=np.int64), leaves)
+        path = (leaves[:-1], leaves[1:])
+        both = (np.concatenate([star[0], path[0]]), np.concatenate([star[1], path[1]]))
+        for (src, dst), triangles in ((both, n - 2), (star, 0), (path, 0)):
+            u, v, _ = orient_and_sort(src, dst)
+            assert _count_forward_sparse(u, v, n, chunk_nnz=chunk_nnz) == triangles
 
     @pytest.mark.parametrize("chunk_nnz", [1, 128, 1 << 24])
     def test_equal_degrees_break_ties_by_id(self, chunk_nnz):
