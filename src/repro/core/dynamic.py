@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..coloring.partition import ColoringPartitioner
+from ..coloring.partition import ColoringPartitioner, EdgePartition
 from ..common.errors import ConfigurationError
 from ..common.rng import RngFactory
 from ..graph.coo import COOGraph
@@ -35,7 +35,7 @@ from ..pimsim.kernel import SimClock
 from ..pimsim.system import PimSystem
 from ..streaming.estimators import combine_dpu_counts
 from ..streaming.misra_gries import MisraGries
-from .ingest import DoubleBufferSchedule, iter_edge_batches
+from .ingest import IngestClock, iter_edge_batches
 from .kernel_tc_fast import KernelCosts, _count_forward_sparse
 from .orient import orient_and_sort
 from .region_index import build_region_index
@@ -128,8 +128,9 @@ class DynamicPimCounter:
             raise ConfigurationError("misra_gries_k and misra_gries_t go together")
         if batch_edges is not None and batch_edges < 1:
             raise ConfigurationError("batch_edges must be >= 1 or None")
-        #: Streaming-ingest chunk size for update batches; ``None`` routes and
-        #: merges each update batch in one pass (original behavior).
+        #: Streaming-ingest chunk size for update batches; ``None`` makes each
+        #: update batch one chunk.  Set, the chunks' host routing overlaps
+        #: the cores' merges on the clock (see :mod:`repro.core.ingest`).
         self.batch_edges = batch_edges
         self.num_nodes = int(num_nodes)
         self.num_colors = int(num_colors)
@@ -223,8 +224,8 @@ class DynamicPimCounter:
         the oriented/sorted effective ``(u, v, num_nodes)`` of the merged
         sample — ``None`` when the chunk routed nothing to ``d``, so the
         sample and its count are unchanged — and the core's compute seconds
-        for this chunk.  The functional recount is left to the caller — the
-        batched path defers it to one pass after the last chunk.
+        for this chunk.  The functional recount is left to the caller, which
+        runs it once after the last chunk.
         """
         dpu = self.dpus.dpus[d]
         dpu.reset_charges()
@@ -325,11 +326,38 @@ class DynamicPimCounter:
         self._mg.decay_array(self._endpoint_stream(batch))
         return self._refresh_remap()
 
-    def _finish_round(
-        self, batch: COOGraph, before_total: float, op: str = "insert"
-    ) -> DynamicUpdateResult:
-        """Gather counts, apply corrections, and close one update round."""
+    def _ingest_clock(self, overlap: bool) -> IngestClock:
+        return IngestClock(
+            self.clock,
+            "dynamic",
+            overlap=overlap,
+            launch_latency=self.system.config.cost.launch_latency,
+        )
+
+    def _route(
+        self, ingest: IngestClock, src: np.ndarray, dst: np.ndarray
+    ) -> EdgePartition:
+        """Stream, hash-color and route one chunk of edges (or tombstones)
+        to its cores, and scatter it."""
         cost = self.system.config.cost
+        ingest.host(
+            cost.host_edge_cycles * int(src.size) / (cost.host_clock_hz * cost.host_threads)
+        )
+        part = self.partitioner.assign_arrays(src, dst)
+        routed_bytes = part.counts * self.costs.edge_bytes
+        self.peak_routed_bytes = max(self.peak_routed_bytes, int(routed_bytes.sum()))
+        ingest.transfer(self.dpus.transfer.scatter(routed_bytes))
+        return part
+
+    def _finish_round(
+        self, before_total: float, op: str, edge_delta: int
+    ) -> DynamicUpdateResult:
+        """Gather counts, apply corrections, and close one update round.
+
+        ``edge_delta`` is the signed change in resident logical edges: the
+        batch size for an insert, minus the edges actually removed for a
+        delete.
+        """
         # Gather the per-core counts (8 bytes each).
         sizes = np.full(len(self.dpus), 8, dtype=np.int64)
         self.clock.advance("dynamic", self.dpus.transfer.gather(sizes).seconds)
@@ -347,95 +375,59 @@ class DynamicPimCounter:
         added = new_estimate - self._estimate
         self._estimate = new_estimate
         self._round += 1
-        self._cumulative_edges += batch.num_edges
+        self._cumulative_edges += edge_delta
         round_seconds = self.cumulative_seconds - before_total
         return DynamicUpdateResult(
             round_index=self._round,
-            new_edges=batch.num_edges,
+            new_edges=max(edge_delta, 0),
             cumulative_edges=self._cumulative_edges,
             triangles_total=new_estimate,
             triangles_added=added,
             round_seconds=round_seconds,
             cumulative_seconds=self.cumulative_seconds,
             op=op,
+            removed_edges=max(-edge_delta, 0),
         )
 
-    def _apply_update_batched(self, batch: COOGraph) -> DynamicUpdateResult:
-        """Chunked variant of :meth:`apply_update` with overlap accounting.
+    def apply_update(self, batch: COOGraph) -> DynamicUpdateResult:
+        """Merge one batch of new edges and recount incrementally.
 
-        Routes and merges the update batch in ``batch_edges``-sized chunks —
-        per-core merged samples end up byte-identical to the monolithic pass
-        (routing is stable within every chunk and chunks arrive in stream
-        order), so the final count matches exactly — while the simulated
-        clock models host routing of chunk ``k+1`` overlapped with the cores
-        merging chunk ``k``.  The functional recount runs once over the fully
-        merged samples instead of once per chunk.
+        One ingest loop (see :mod:`repro.core.ingest`): the update is one
+        chunk, or chunks of ``batch_edges`` edges whose host routing overlaps
+        the cores merging the previous chunk on the clock.  Per-core merged
+        samples do not depend on the chunking (routing is stable within every
+        chunk and chunks arrive in stream order), so the count matches
+        exactly.  The Misra-Gries summary takes the whole update once its
+        first chunk is on the bus, and each changed core is recounted once,
+        after the last chunk.
         """
-        cost = self.system.config.cost
+        self._check_open()
         before_total = self.cumulative_seconds
-        remap = self._update_mg(batch)
-        schedule = DoubleBufferSchedule()
+        ingest = self._ingest_clock(overlap=self.batch_edges is not None)
+        remap = None
         final: list[tuple[np.ndarray, np.ndarray, int] | None] = [
             None
         ] * self.partitioner.num_dpus
-        for _k, s_chunk, d_chunk in iter_edge_batches(
-            batch.src, batch.dst, self.batch_edges
-        ):
-            h_k = (
-                cost.host_edge_cycles
-                * int(s_chunk.size)
-                / (cost.host_clock_hz * cost.host_threads)
-            )
-            part = self.partitioner.assign_arrays(s_chunk, d_chunk)
-            self.peak_routed_bytes = max(
-                self.peak_routed_bytes, int(part.counts.sum()) * self.costs.edge_bytes
-            )
-            xfer = self.dpus.transfer.scatter(
-                part.counts * self.costs.edge_bytes
-            ).seconds
+        for k, s_chunk, d_chunk in iter_edge_batches(batch.src, batch.dst, self.batch_edges):
+            part = self._route(ingest, s_chunk, d_chunk)
+            if k == 0:
+                remap = self._update_mg(batch)
+            chunk = ingest.dispatch()
             times = []
             for d, (new_src, new_dst) in enumerate(part.per_dpu):
                 state, seconds = self._merge_and_charge(d, new_src, new_dst, remap)
                 if state is not None:
                     final[d] = state
                 times.append(seconds)
-            d_k = xfer + cost.launch_latency + (max(times) if times else 0.0)
-            self.clock.advance("dynamic", schedule.step(h_k, d_k))
+            ingest.close(chunk, max(times, default=0.0))
+        if ingest.chunks == 0:
+            # An empty chunked update streams no chunk; the summary still
+            # sees it (and re-broadcasts its table).
+            self._update_mg(batch)
         for d, state in enumerate(final):
             if state is not None:
                 self._raw_counts[d] = _count_forward_sparse(*state)
-        return self._finish_round(batch, before_total, op="insert")
-
-    def apply_update(self, batch: COOGraph) -> DynamicUpdateResult:
-        """Merge one batch of new edges and recount incrementally."""
-        self._check_open()
-        if self.batch_edges is not None:
-            return self._apply_update_batched(batch)
-        cost = self.system.config.cost
-        before_total = self.cumulative_seconds
-        # Host: stream, hash-color and route only the new edges.
-        self.clock.advance(
-            "dynamic",
-            cost.host_edge_cycles
-            * batch.num_edges
-            / (cost.host_clock_hz * cost.host_threads),
-        )
-        partition = self.partitioner.assign(batch)
-        routed_bytes = partition.counts * self.costs.edge_bytes
-        self.peak_routed_bytes = max(self.peak_routed_bytes, int(routed_bytes.sum()))
-        self.clock.advance("dynamic", self.dpus.transfer.scatter(routed_bytes).seconds)
-
-        remap = self._update_mg(batch)
-        times = []
-        for d, (new_src, new_dst) in enumerate(partition.per_dpu):
-            state, seconds = self._merge_and_charge(d, new_src, new_dst, remap)
-            if state is not None:
-                self._raw_counts[d] = _count_forward_sparse(*state)
-            times.append(seconds)
-        self.clock.advance(
-            "dynamic", cost.launch_latency + (max(times) if times else 0.0)
-        )
-        return self._finish_round(batch, before_total, op="insert")
+        return self._finish_round(before_total, "insert", batch.num_edges)
 
     # ------------------------------------------------------------------ delete
     def _canonical_dpus(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -463,18 +455,9 @@ class DynamicPimCounter:
         ignored (idempotent deletes).
         """
         self._check_open()
-        cost = self.system.config.cost
         before_total = self.cumulative_seconds
-        self.clock.advance(
-            "dynamic",
-            cost.host_edge_cycles
-            * batch.num_edges
-            / (cost.host_clock_hz * cost.host_threads),
-        )
-        partition = self.partitioner.assign(batch)
-        routed_bytes = partition.counts * self.costs.edge_bytes
-        self.peak_routed_bytes = max(self.peak_routed_bytes, int(routed_bytes.sum()))
-        self.clock.advance("dynamic", self.dpus.transfer.scatter(routed_bytes).seconds)
+        ingest = self._ingest_clock(overlap=False)
+        partition = self._route(ingest, batch.src, batch.dst)
 
         # Deletions change which nodes are hot: retract the batch from the
         # Misra-Gries summary so stale hubs don't stay pinned in the remap.
@@ -518,36 +501,5 @@ class DynamicPimCounter:
                 for tk in range(dpu.config.num_tasklets):
                     dpu.charge_mram_read(tk, int(per), requests=max(1, b // 8))
             times.append(dpu.compute_seconds())
-        self.clock.advance(
-            "dynamic", cost.launch_latency + (max(times) if times else 0.0)
-        )
-        sizes = np.full(len(self.dpus), 8, dtype=np.int64)
-        self.clock.advance("dynamic", self.dpus.transfer.gather(sizes).seconds)
-
-        ones = np.ones(self.partitioner.num_dpus, dtype=np.float64)
-        new_estimate = int(
-            round(
-                combine_dpu_counts(
-                    self._raw_counts,
-                    ones,
-                    self.partitioner.mono_mask(),
-                    num_colors=self.num_colors,
-                )
-            )
-        )
-        added = new_estimate - self._estimate
-        self._estimate = new_estimate
-        self._round += 1
-        self._cumulative_edges -= removed_edges
-        round_seconds = self.cumulative_seconds - before_total
-        return DynamicUpdateResult(
-            round_index=self._round,
-            new_edges=0,
-            cumulative_edges=self._cumulative_edges,
-            triangles_total=new_estimate,
-            triangles_added=added,
-            round_seconds=round_seconds,
-            cumulative_seconds=self.cumulative_seconds,
-            op="delete",
-            removed_edges=removed_edges,
-        )
+        ingest.close(ingest.dispatch(), max(times, default=0.0))
+        return self._finish_round(before_total, "delete", -removed_edges)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -38,15 +39,16 @@ from ..common.rng import RngFactory
 from ..graph.coo import COOGraph
 from ..pimsim.config import PimSystemConfig
 from ..pimsim.dpu import Dpu
+from ..pimsim.executor import _timed_task
 from ..pimsim.kernel import SimClock
 from ..pimsim.system import DpuSet, PimSystem
 from ..streaming.estimators import combine_dpu_counts
 from ..streaming.misra_gries import MisraGries
 from ..streaming.reservoir import EdgeReservoir, reservoir_scale
-from ..streaming.uniform import uniform_keep_mask, uniform_sample
+from ..streaming.uniform import uniform_keep_mask
 from ..telemetry.metrics import DEFAULT_FRACTION_BUCKETS
 from ..telemetry.spans import SpanRecord, Telemetry
-from .ingest import DoubleBufferSchedule, iter_edge_batches, num_batches
+from .ingest import IngestClock, iter_edge_batches, num_batches
 from .kernel_tc_fast import KernelCosts, TriangleCountKernel
 from .remap import RemapTable
 from .result import KernelAggregate, TcResult
@@ -59,63 +61,32 @@ __all__ = ["KERNEL_VARIANTS", "PimTcOptions", "PimTcPipeline"]
 KERNEL_VARIANTS = ("merge", "probe")
 
 
-def _insert_sample(dpu: Dpu, payload: tuple) -> tuple[int, float]:
-    """Per-DPU sample-insertion task (runs on the configured executor).
-
-    Inserts one core's routed edge batch into its MRAM, applying reservoir
-    replacement when the batch exceeds capacity, and charges the DPU for the
-    insert work.  Module-level and fed a pre-derived per-DPU RNG stream so the
-    process engine can pickle it; the stream derivation is stateless, so
-    results are bit-identical to the serial path.
-    """
-    s_arr, d_arr, capacity, rng, costs, remap_nodes = payload
-    dpu.reset_charges()
-    n_in = int(s_arr.size)
-    if n_in > capacity:
-        reservoir = EdgeReservoir(capacity, rng)
-        reservoir.offer_batch(s_arr, d_arr)
-        keep_src, keep_dst = reservoir.edges()
-        stored = int(keep_src.size)
-        # Replacement bookkeeping costs a few extra instructions/edge.
-        insert_instr = n_in * (costs.insert_instr_per_edge + 4.0)
-    else:
-        keep_src, keep_dst = s_arr, d_arr
-        stored = n_in
-        insert_instr = n_in * costs.insert_instr_per_edge
-    dpu.charge_balanced(insert_instr)
-    per_tasklet_bytes = stored * costs.edge_bytes / dpu.config.num_tasklets
-    for tk in range(dpu.config.num_tasklets):
-        dpu.charge_mram_write(tk, int(per_tasklet_bytes), requests=1)
-    dpu.mram.store("sample_src", keep_src.astype(np.int32), count_write=False)
-    dpu.mram.store("sample_dst", keep_dst.astype(np.int32), count_write=False)
-    if remap_nodes is not None:
-        dpu.mram.store("remap_table", remap_nodes, count_write=False)
-    return n_in, dpu.compute_seconds()
-
-
 def _ingest_chunk(dpu: Dpu, payload: tuple) -> tuple[EdgeReservoir, int, float]:
-    """Per-DPU batched-ingest task: offer one routed chunk to the core's reservoir.
+    """Per-DPU ingest task: offer one routed chunk to the core's reservoir.
 
-    The streaming analogue of :func:`_insert_sample`: the reservoir persists
-    across chunks (its ``seen`` counter keeps the global arrival index, so
-    chunked offers reproduce the sequential acceptance distribution) and
-    travels through the payload/result so the process engine's pickled copy —
-    including its advanced RNG state — makes it back to the parent.  Final
-    reservoir contents are materialized into MRAM by the host after the last
-    chunk; this task only mutates the reservoir and charges the insert work.
+    The reservoir persists across chunks (its ``seen`` counter keeps the
+    global arrival index, so chunked offers reproduce the sequential
+    acceptance distribution) and travels through the payload/result so the
+    process engine's pickled copy, RNG state included, makes it back to the
+    host, which materializes the final contents into MRAM.  Charges: every
+    offered edge, 4 more instructions per edge of replacement bookkeeping
+    once the reservoir overflows, and MRAM writes for the edges the chunk
+    adds to the resident set.  ``skip_idle`` leaves a core routed nothing
+    untouched (an overlapped chunk); otherwise the launch opens every core's
+    region, one DMA request per tasklet even with nothing to write.
     """
-    reservoir, s_arr, d_arr, costs = payload
+    reservoir, s_arr, d_arr, costs, skip_idle = payload
     dpu.reset_charges()
     n_in = int(s_arr.size)
-    if n_in == 0:
+    if n_in == 0 and skip_idle:
         return reservoir, 0, 0.0
     overflow = reservoir.seen + n_in > reservoir.capacity
-    stored = reservoir.offer_batch(s_arr, d_arr)
-    # Replacement bookkeeping costs a few extra instructions/edge (same
-    # constant as the monolithic path).
+    resident = reservoir.size
+    reservoir.offer_batch(s_arr, d_arr)
     extra = 4.0 if overflow else 0.0
     dpu.charge_balanced(n_in * (costs.insert_instr_per_edge + extra))
-    per_tasklet_bytes = stored * costs.edge_bytes / dpu.config.num_tasklets
+    added = reservoir.size - resident
+    per_tasklet_bytes = added * costs.edge_bytes / dpu.config.num_tasklets
     for tk in range(dpu.config.num_tasklets):
         dpu.charge_mram_write(tk, int(per_tasklet_bytes), requests=1)
     return reservoir, n_in, dpu.compute_seconds()
@@ -134,7 +105,7 @@ class _PreparedRun:
     capacity: int
     wall_start: float
     edges_kept: int
-    #: Number of ingest chunks (1 for the monolithic path).
+    #: Number of ingest chunks (1 when ``batch_edges`` is ``None``).
     ingest_batches: int = 1
     #: Peak bytes of routed edge buffers resident on the host at once.
     peak_routed_bytes: int = 0
@@ -144,7 +115,7 @@ class _PreparedRun:
     #: Misra-Gries remap table broadcast to the cores (None when disabled).
     remap_nodes: np.ndarray | None = None
     #: Triplet -> physical core map after between-batch rebalancing;
-    #: ``None`` means the identity (monolithic path, or no rebalance fired).
+    #: ``None`` means the identity (one-chunk ingest, or no rebalance fired).
     dpu_of_triplet: np.ndarray | None = None
     #: One record per rebalance event (batch index, trigger cv, moved work).
     rebalances: list = field(default_factory=list)
@@ -187,12 +158,12 @@ class PimTcOptions:
     #: each core's batch array to the PIM side as it fills while streaming the
     #: input file; ``None`` models one bulk scatter (batch = whole sample).
     transfer_batch_edges: int | None = None
-    #: Streaming-ingest chunk size in *input* edges.  ``None`` keeps the
-    #: monolithic single-pass pipeline.  When set, the host processes the
-    #: edge stream in chunks of this size — sample, Misra-Gries update,
-    #: route, transfer, reservoir insert — bounding routed-buffer memory at
-    #: ``O(batch_edges * C)`` and overlapping host routing of chunk ``k+1``
-    #: with DPU insertion of chunk ``k`` (double buffering).
+    #: Streaming-ingest chunk size in *input* edges.  The host runs one
+    #: ingest loop — sample, Misra-Gries update, route, transfer, reservoir
+    #: insert — per chunk.  ``None`` makes the whole stream one chunk whose
+    #: costs advance the clock one by one.  When set, routed-buffer memory is
+    #: bounded at ``O(batch_edges * C)`` and host routing of chunk ``k+1``
+    #: overlaps DPU insertion of chunk ``k`` (double buffering).
     batch_edges: int | None = None
     #: Partitioning strategy: "hash" (universal hash coloring, the paper's),
     #: "degree" (degree-based hub placement, Kolountzakis et al.), or "auto"
@@ -225,6 +196,13 @@ class PimTcOptions:
             raise ConfigurationError("transfer_batch_edges must be >= 1 or None")
         if self.batch_edges is not None and self.batch_edges < 1:
             raise ConfigurationError("batch_edges must be >= 1 or None")
+        # No triangle fits in fewer than 3 edges, so a smaller reservoir
+        # silently zeroes the estimate; a reserve of the whole bank (or more)
+        # sizes it to nothing, a negative one beyond the bank.
+        if self.reservoir_capacity is not None and self.reservoir_capacity < 3:
+            raise ConfigurationError("reservoir_capacity must be >= 3 or None")
+        if not (0.0 <= self.mram_reserve_fraction < 1.0):
+            raise ConfigurationError("mram_reserve_fraction must be in [0, 1)")
         if not (0.0 < self.uniform_p <= 1.0):
             raise ConfigurationError("uniform_p must be in (0, 1]")
         if self.misra_gries_t > 0 and self.misra_gries_k <= 0:
@@ -308,8 +286,6 @@ class PimTcPipeline:
     def _reservoir_capacity(self) -> int:
         opts = self.active_options
         if opts.reservoir_capacity is not None:
-            if opts.reservoir_capacity < 1:
-                raise ConfigurationError("reservoir_capacity must be >= 1")
             return int(opts.reservoir_capacity)
         dpu_cfg = self.system.config.dpu
         usable = int(dpu_cfg.mram_bytes * (1.0 - opts.mram_reserve_fraction))
@@ -336,7 +312,7 @@ class PimTcPipeline:
     def _setup_phase(
         self, graph: COOGraph, kernel, clock: SimClock, rngs: RngFactory
     ) -> tuple[ColoringPartitioner, DpuSet]:
-        """Setup phase shared by the monolithic and batched ingest paths."""
+        """Setup phase: allocate the cores, load the kernel, load the graph."""
         opts = self.active_options
         cost = self.system.config.cost
         with self.telemetry.span("setup", clock=clock):
@@ -363,201 +339,28 @@ class PimTcPipeline:
         return partitioner, dpus
 
     def _prepare(self, graph: COOGraph, kernel) -> "_PreparedRun":
-        """Setup + sample-creation phases, shared by global and local counting."""
-        if self.active_options.batch_edges is not None:
-            return self._prepare_batched(graph, kernel)
-        opts = self.active_options
-        cost = self.system.config.cost
-        rngs = RngFactory(opts.seed)
-        wall_start = time.perf_counter()
-        clock = SimClock()
-        tel = self.telemetry
-        partitioner, dpus = self._setup_phase(graph, kernel, clock, rngs)
+        """Setup + sample-creation phases, shared by global and local counting.
 
-        # ------------------------------------------------------- sample creation
-        with tel.span("sample_creation", clock=clock):
-            # Uniform sampling happens while streaming the file: every input
-            # edge is read and hashed; only kept edges are routed.
-            with tel.span("uniform_sample", clock=clock):
-                clock.advance(
-                    "sample_creation",
-                    self._host_seconds(cost.host_edge_cycles, graph.num_edges),
-                )
-                sample = uniform_sample(graph, opts.uniform_p, rngs.stream("uniform"))
-                kept = sample.graph
-
-            remap_payload: RemapTable | None = None
-            if opts.misra_gries_k > 0:
-                with tel.span("misra_gries", clock=clock):
-                    remap_payload = self._run_misra_gries(kept, clock)
-
-            with tel.span("partition", clock=clock):
-                partition = partitioner.assign(kept)
-                edge_bytes = opts.kernel_costs.edge_bytes
-                routed_bytes = partition.counts * edge_bytes
-                # Batch assembly memcpy on the host.
-                clock.advance(
-                    "sample_creation",
-                    float(routed_bytes.sum()) / cost.host_memcpy_bandwidth,
-                )
-            # Rank-padded parallel scatter of the batches.  With a finite batch
-            # buffer the host flushes every time the fullest core's buffer fills,
-            # so the transfer happens in rounds; each round moves at most
-            # ``batch`` edges per core and pays the per-transfer latency.
-            with tel.span("scatter", clock=clock) as scatter_span:
-                if opts.transfer_batch_edges is None:
-                    stats = dpus.transfer.scatter(routed_bytes)
-                    clock.advance("sample_creation", stats.seconds)
-                    dpus.trace.record(
-                        "sample_creation", "scatter", stats.seconds, stats.payload_bytes,
-                        "edge batches",
-                    )
-                    dpus.note_dpu_xfer(routed_bytes)
-                    rounds = 1
-                else:
-                    batch = int(opts.transfer_batch_edges)
-                    remaining = partition.counts.astype(np.int64).copy()
-                    rounds = 0
-                    while remaining.max(initial=0) > 0:
-                        this_round = np.minimum(remaining, batch)
-                        stats = dpus.transfer.scatter(this_round * edge_bytes)
-                        clock.advance("sample_creation", stats.seconds)
-                        dpus.trace.record(
-                            "sample_creation",
-                            "scatter",
-                            stats.seconds,
-                            stats.payload_bytes,
-                            f"edge batch round {rounds}",
-                        )
-                        remaining -= this_round
-                        rounds += 1
-                    dpus.note_dpu_xfer(routed_bytes)
-                if scatter_span is not None:
-                    scatter_span.attrs["rounds"] = rounds
-            if remap_payload is not None and remap_payload.t > 0:
-                with tel.span("broadcast_remap", clock=clock):
-                    stats = dpus.transfer.broadcast(remap_payload.nbytes(), len(dpus))
-                    clock.advance("sample_creation", stats.seconds)
-                    dpus.trace.record(
-                        "sample_creation", "broadcast", stats.seconds,
-                        stats.payload_bytes, "remap_table",
-                    )
-                    dpus.note_dpu_xfer(remap_payload.nbytes())
-
-            capacity = self._reservoir_capacity()
-            remap_nodes = (
-                remap_payload.nodes
-                if remap_payload is not None and remap_payload.t > 0
-                else None
-            )
-            payloads = [
-                (
-                    s_arr,
-                    d_arr,
-                    capacity,
-                    rngs.stream("reservoir", index=d),
-                    opts.kernel_costs,
-                    remap_nodes,
-                )
-                for d, (s_arr, d_arr) in enumerate(partition.per_dpu)
-            ]
-            with tel.span("insert", clock=clock):
-                if tel.enabled and tel.detail:
-                    timed = dpus.executor.map_dpus_timed(
-                        _insert_sample, dpus.dpus, payloads
-                    )
-                    inserted = [result for result, _ in timed]
-                    tel.attach_records(
-                        [
-                            SpanRecord(
-                                name=f"dpu{d}",
-                                wall_seconds=wall,
-                                sim_seconds=result[1],
-                            )
-                            for d, (result, wall) in enumerate(timed)
-                        ]
-                    )
-                else:
-                    inserted = dpus.executor.map_dpus(_insert_sample, dpus.dpus, payloads)
-                seen = np.array([n_in for n_in, _ in inserted], dtype=np.int64)
-                insert_times = [seconds for _, seconds in inserted]
-                insert_seconds = cost.launch_latency + (
-                    max(insert_times) if insert_times else 0.0
-                )
-                clock.advance("sample_creation", insert_seconds)
-                dpus.trace.record(
-                    "sample_creation", "launch", insert_seconds,
-                    detail="sample insert / reservoir",
-                )
-        self._record_sample_metrics(
-            graph.num_edges, kept.num_edges, partition.counts, seen, capacity
-        )
-        edge_bytes = opts.kernel_costs.edge_bytes
-        return _PreparedRun(
-            clock=clock,
-            dpus=dpus,
-            partitioner=partitioner,
-            routed_counts=partition.counts,
-            uniform_p=sample.p,
-            seen=seen,
-            capacity=capacity,
-            wall_start=wall_start,
-            edges_kept=kept.num_edges,
-            ingest_batches=1,
-            # Monolithic routing materializes every per-core buffer at once.
-            peak_routed_bytes=int(partition.counts.sum()) * edge_bytes,
-            insert_seconds=np.array(insert_times, dtype=np.float64),
-            remap_nodes=remap_nodes,
-        )
-
-    def _scatter_seconds(
-        self, dpus: DpuSet, counts: np.ndarray, edge_bytes: int
-    ) -> tuple[float, int, int]:
-        """Aggregate scatter cost of one routed chunk: (seconds, bytes, rounds).
-
-        Mirrors the monolithic scatter loop — honoring ``transfer_batch_edges``
-        flush rounds — but returns the cost instead of advancing the clock, so
-        the batched path can fold it into the overlapped device time.
-        """
-        opts = self.active_options
-        if opts.transfer_batch_edges is None:
-            stats = dpus.transfer.scatter(counts * edge_bytes)
-            return stats.seconds, stats.payload_bytes, 1
-        batch = int(opts.transfer_batch_edges)
-        remaining = counts.astype(np.int64).copy()
-        seconds = 0.0
-        payload = 0
-        rounds = 0
-        while remaining.max(initial=0) > 0:
-            this_round = np.minimum(remaining, batch)
-            stats = dpus.transfer.scatter(this_round * edge_bytes)
-            seconds += stats.seconds
-            payload += stats.payload_bytes
-            remaining -= this_round
-            rounds += 1
-        return seconds, payload, rounds
-
-    def _prepare_batched(self, graph: COOGraph, kernel) -> "_PreparedRun":
-        """Chunked streaming ingest with double-buffered host/device overlap.
-
-        Processes the input edge stream in ``batch_edges``-sized chunks.  For
-        each chunk the host draws the uniform keep-mask (consecutive draws
-        from one stream — bit-identical to the monolithic mask), updates the
-        Misra-Gries summary, colors and routes the survivors, and hands the
-        per-core arrays to the execution engine while it starts routing the
-        *next* chunk; :class:`DoubleBufferSchedule` turns the per-chunk host
-        and device seconds into overlapped clock advances.  Per-core
-        reservoirs persist across chunks, so acceptance probabilities use
+        One ingest loop over the edge stream (see :mod:`repro.core.ingest`).
+        ``batch_edges=None`` makes the whole stream one chunk; with
+        ``batch_edges`` set the host routes chunk ``k+1`` while the cores
+        insert chunk ``k``.  For each chunk the host draws the uniform
+        keep-mask (consecutive draws from one stream, so every chunking keeps
+        the same edges), folds the survivors into the Misra-Gries summary,
+        colors and routes them, scatters the per-core arrays and hands them
+        to the execution engine, which offers them to per-core reservoirs.
+        :class:`IngestClock` decides how those costs reach the clock.
+        Reservoirs persist across chunks, so acceptance probabilities use
         global arrival indices (sequential distribution, property-tested);
-        when no reservoir overflows the final MRAM contents are bit-identical
-        to the monolithic path.
+        while no reservoir overflows, the final MRAM contents do not depend
+        on the chunking.  The summary is final once the last chunk is
+        routed, so its remap table is broadcast before that chunk's insert
+        is joined.
 
-        Engine invariance: every quantity fed to the schedule — keep-masks,
+        Engine invariance: every quantity fed to the clock — keep-masks,
         partition counts, reservoir offers via per-DPU derived RNG streams,
         charge totals — is deterministic, so serial/thread/process executors
-        stay bit-identical on counts, clocks, and charges.  (Per-DPU detail
-        spans are not emitted per chunk; the per-batch spans carry the
-        timing attributes instead.)
+        stay bit-identical on counts, clocks, and charges.
         """
         opts = self.active_options
         cost = self.system.config.cost
@@ -576,7 +379,17 @@ class PimTcPipeline:
             for d in range(num_dpus)
         ]
         merged_mg = MisraGries(opts.misra_gries_k) if opts.misra_gries_k > 0 else None
-        schedule = DoubleBufferSchedule()
+        ingest = IngestClock(
+            clock,
+            "sample_creation",
+            overlap=opts.batch_edges is not None,
+            launch_latency=cost.launch_latency,
+            trace=dpus.trace,
+            telemetry=tel,
+        )
+        # Detail telemetry times each core's task where it runs.
+        timed = tel.enabled and tel.detail
+        task = partial(_timed_task, _ingest_chunk) if timed else _ingest_chunk
         routed_counts = np.zeros(num_dpus, dtype=np.int64)
         insert_secs = np.zeros(num_dpus, dtype=np.float64)
         edges_kept = 0
@@ -584,51 +397,39 @@ class PimTcPipeline:
         window_bytes = 0  # routed bytes of the still-inserting previous chunk
         # Triplet -> physical core map; rebalancing permutes it between chunks.
         dpu_of_triplet = np.arange(num_dpus, dtype=np.int64)
-        rebalanced = False
         rebalances: list[dict] = []
-        batches_total = num_batches(graph.num_edges, opts.batch_edges)
-        pending: tuple | None = None  # (k, h_k, xfer_s, xfer_b, join, perm, targets, kept_k)
+        pending: tuple | None = None  # (chunk, join, perm, targets, kept_k)
 
         def drain(entry: tuple) -> None:
-            """Join one in-flight chunk and advance the overlapped clock."""
-            k, h_k, xfer_seconds, xfer_bytes, join, perm, targets, kept_k = entry
+            """Join one in-flight chunk and charge its insert launch."""
+            chunk, join, perm, targets, kept_k = entry
             results = join()
-            for t, (res, _n_in, secs) in enumerate(results):
-                reservoirs[t] = res
-                insert_secs[perm[t]] += secs
-            # The process engine splices post-run DPU state into the list it
-            # was handed; that list is our triplet-ordered view, so propagate
-            # the (possibly replaced) objects back to their physical slots.
+            records = None
+            if timed:
+                records = [
+                    SpanRecord(name=f"dpu{core}", wall_seconds=wall, sim_seconds=res[2])
+                    for core, (res, wall) in zip(perm.tolist(), results)
+                ]
+                results = [res for res, _ in results]
             for t, core in enumerate(perm.tolist()):
+                reservoirs[t], _n_in, secs = results[t]
+                insert_secs[core] += secs
+                # The process engine splices post-run DPU state into the list
+                # it was handed; that list is our triplet-ordered view, so
+                # propagate the (possibly replaced) objects to their slots.
                 dpus.dpus[core] = targets[t]
-            compute = max((secs for _, _, secs in results), default=0.0)
-            d_k = xfer_seconds + cost.launch_latency + compute
-            delta = schedule.step(h_k, d_k)
-            with tel.span(f"batch[{k}]", clock=clock) as span:
-                clock.advance("sample_creation", delta)
-                if span is not None:
-                    span.attrs["host_seconds"] = h_k
-                    span.attrs["device_seconds"] = d_k
-                    span.attrs["routed_bytes"] = xfer_bytes
-            dpus.trace.record(
-                "sample_creation", "scatter", xfer_seconds, xfer_bytes,
-                f"ingest batch {k}",
-            )
-            dpus.trace.record(
-                "sample_creation",
-                "launch",
-                cost.launch_latency + compute,
-                detail=f"reservoir insert batch {k}",
-            )
+            ingest.close(chunk, max((secs for _, _, secs in results), default=0.0), records)
+            if not ingest.overlapped:
+                return
             # Live heartbeat for `repro-watch`: pure observation of values the
             # schedule already holds.  The ETA extrapolates the two-buffer
             # recurrence — remaining batches at the mean per-batch growth of
             # the device-finish front (D(k)/k), which in steady state is
             # max(h, d) per chunk.
+            schedule, k = ingest.schedule, chunk.index
+            batches_total = num_batches(graph.num_edges, opts.batch_edges)
             done = schedule.batches
-            eta = (
-                (batches_total - done) * (schedule.elapsed / done) if done else 0.0
-            )
+            eta = (batches_total - done) * (schedule.elapsed / done)
             tel.emit_event(
                 "heartbeat",
                 batch=int(k),
@@ -636,33 +437,33 @@ class PimTcPipeline:
                 edges_streamed=int(min((k + 1) * opts.batch_edges, graph.num_edges)),
                 edges_total=int(graph.num_edges),
                 edges_kept=int(kept_k),
-                routed_bytes=int(xfer_bytes),
+                routed_bytes=int(chunk.xfer_bytes),
                 peak_routed_bytes=int(peak_routed_bytes),
                 sim_elapsed_seconds=float(schedule.elapsed),
                 eta_sim_seconds=float(eta),
             )
 
         with tel.span("sample_creation", clock=clock):
-            for k, s_chunk, d_chunk in iter_edge_batches(
-                graph.src, graph.dst, opts.batch_edges
-            ):
+            for k, s_chunk, d_chunk in iter_edge_batches(graph.src, graph.dst, opts.batch_edges):
                 # Host side of chunk k: stream + sample + summarize + route.
-                h_k = self._host_seconds(cost.host_edge_cycles, int(s_chunk.size))
-                keep = uniform_keep_mask(int(s_chunk.size), opts.uniform_p, uniform_rng)
-                if opts.uniform_p < 1.0:
-                    s_kept, d_kept = s_chunk[keep], d_chunk[keep]
-                else:
-                    s_kept, d_kept = s_chunk, d_chunk
-                edges_kept += int(s_kept.size)
+                n_in = int(s_chunk.size)
+                with ingest.stage("uniform_sample"):
+                    ingest.host(self._host_seconds(cost.host_edge_cycles, n_in))
+                    keep = uniform_keep_mask(n_in, opts.uniform_p, uniform_rng)
+                    if opts.uniform_p < 1.0:
+                        s_chunk, d_chunk = s_chunk[keep], d_chunk[keep]
+                edges_kept += int(s_chunk.size)
                 if merged_mg is not None:
-                    self._mg_update(merged_mg, s_kept, d_kept)
-                    h_k += self._host_seconds(
-                        opts.mg_host_cycles_per_edge, int(s_kept.size)
-                    )
-                part = partitioner.assign_arrays(s_kept, d_kept)
-                routed_counts += part.counts
-                chunk_bytes = int(part.counts.sum()) * edge_bytes
-                h_k += chunk_bytes / cost.host_memcpy_bandwidth
+                    with ingest.stage("misra_gries"):
+                        self._mg_update(merged_mg, s_chunk, d_chunk)
+                        mg_cycles = opts.mg_host_cycles_per_edge
+                        ingest.host(self._host_seconds(mg_cycles, int(s_chunk.size)))
+                with ingest.stage("partition"):
+                    part = partitioner.assign_arrays(s_chunk, d_chunk)
+                    routed_counts += part.counts
+                    chunk_bytes = int(part.counts.sum()) * edge_bytes
+                    # Batch assembly memcpy on the host.
+                    ingest.host(chunk_bytes / cost.host_memcpy_bandwidth)
                 # Double buffering keeps at most two chunks' routed buffers
                 # resident: the one still inserting plus the one just routed.
                 peak_routed_bytes = max(peak_routed_bytes, window_bytes + chunk_bytes)
@@ -671,57 +472,48 @@ class PimTcPipeline:
                     drain(pending)
                     pending = None
                     if opts.rebalance_cv is not None:
-                        moved = self._maybe_rebalance(
+                        dpu_of_triplet = self._maybe_rebalance(
                             dpus, clock, dpu_of_triplet, insert_secs,
                             routed_counts, reservoirs, capacity, edge_bytes,
                             k - 1, rebalances,
                         )
-                        if moved is not None:
-                            dpu_of_triplet = moved
-                            rebalanced = True
                 # The transfer cost is evaluated under the *current* core map:
                 # rank padding depends on which physical core each triplet's
                 # bytes land on (identity map -> identical to the pre-map
                 # ordering, so hash baselines stay bit-exact).
                 core_counts = np.zeros(num_dpus, dtype=np.int64)
                 core_counts[dpu_of_triplet] = part.counts
-                xfer_seconds, xfer_bytes, _rounds = self._scatter_seconds(
-                    dpus, core_counts, edge_bytes
-                )
+                with ingest.stage("scatter") as scatter_span:
+                    rounds = self._scatter(dpus, ingest, core_counts, edge_bytes)
+                    if scatter_span is not None:
+                        scatter_span.attrs["rounds"] = rounds
                 dpus.note_dpu_xfer(core_counts * edge_bytes)
                 # Payloads are built only after the previous join so the
                 # process engine's returned reservoirs (fresh RNG state) are
                 # the ones offered the next chunk.
                 payloads = [
-                    (reservoirs[t], s_arr, d_arr, opts.kernel_costs)
+                    (reservoirs[t], s_arr, d_arr, opts.kernel_costs, ingest.overlapped)
                     for t, (s_arr, d_arr) in enumerate(part.per_dpu)
                 ]
                 targets = [dpus.dpus[int(c)] for c in dpu_of_triplet]
-                join = dpus.executor.map_dpus_async(_ingest_chunk, targets, payloads)
-                pending = (
-                    k, h_k, xfer_seconds, xfer_bytes, join, dpu_of_triplet,
-                    targets, edges_kept,
-                )
+                join = dpus.executor.map_dpus_async(task, targets, payloads)
+                pending = (ingest.dispatch(), join, dpu_of_triplet, targets, edges_kept)
+
+            remap_nodes = None
+            if merged_mg is not None:
+                remap_payload = self._mg_table(merged_mg, graph.num_nodes)
+                if remap_payload.t > 0:
+                    remap_nodes = remap_payload.nodes
+                    with tel.span("broadcast_remap", clock=clock):
+                        stats = dpus.transfer.broadcast(remap_payload.nbytes(), len(dpus))
+                        clock.advance("sample_creation", stats.seconds)
+                        dpus.trace.record(
+                            "sample_creation", "broadcast", stats.seconds,
+                            stats.payload_bytes, "remap_table",
+                        )
+                        dpus.note_dpu_xfer(remap_payload.nbytes())
             if pending is not None:
                 drain(pending)
-
-            remap_payload: RemapTable | None = None
-            if merged_mg is not None:
-                with tel.span("misra_gries", clock=clock):
-                    remap_payload = self._mg_table(merged_mg, graph.num_nodes)
-            if remap_payload is not None and remap_payload.t > 0:
-                with tel.span("broadcast_remap", clock=clock):
-                    stats = dpus.transfer.broadcast(remap_payload.nbytes(), len(dpus))
-                    clock.advance("sample_creation", stats.seconds)
-                    dpus.trace.record(
-                        "sample_creation", "broadcast", stats.seconds,
-                        stats.payload_bytes, "remap_table",
-                    )
-                    dpus.note_dpu_xfer(remap_payload.nbytes())
-                for dpu in dpus.dpus:
-                    dpu.mram.store(
-                        "remap_table", remap_payload.nodes, count_write=False
-                    )
             # Materialize the final reservoir contents into each core's MRAM
             # region (the per-chunk tasks already charged the write work).
             # Reservoirs are triplet-ordered; route each to its physical core.
@@ -730,13 +522,15 @@ class PimTcPipeline:
                 keep_src, keep_dst = res.edges()
                 dpu.mram.store("sample_src", keep_src.astype(np.int32), count_write=False)
                 dpu.mram.store("sample_dst", keep_dst.astype(np.int32), count_write=False)
+                if remap_nodes is not None:
+                    dpu.mram.store("remap_table", remap_nodes, count_write=False)
             seen = np.array([res.seen for res in reservoirs], dtype=np.int64)
 
-        if tel.enabled:
+        if tel.enabled and ingest.overlapped:
             m = tel.metrics
-            m.counter("host.ingest.batches", help="streaming ingest chunks processed").inc(
-                schedule.batches
-            )
+            m.counter(
+                "host.ingest.batches", help="streaming ingest chunks processed"
+            ).inc(ingest.chunks)
             if rebalances:
                 m.counter(
                     "host.rebalance.events",
@@ -753,7 +547,7 @@ class PimTcPipeline:
             m.counter(
                 "host.ingest.overlap_saved_seconds",
                 help="simulated seconds hidden by double-buffered ingest",
-            ).inc(schedule.saved_seconds)
+            ).inc(ingest.schedule.saved_seconds)
         self._record_sample_metrics(
             graph.num_edges, edges_kept, routed_counts, seen, capacity
         )
@@ -762,22 +556,44 @@ class PimTcPipeline:
             dpus=dpus,
             partitioner=partitioner,
             routed_counts=routed_counts,
-            uniform_p=opts.uniform_p,
+            uniform_p=float(opts.uniform_p),
             seen=seen,
             capacity=capacity,
             wall_start=wall_start,
             edges_kept=edges_kept,
-            ingest_batches=schedule.batches,
+            ingest_batches=ingest.chunks,
             peak_routed_bytes=peak_routed_bytes,
             insert_seconds=insert_secs,
-            remap_nodes=(
-                remap_payload.nodes
-                if remap_payload is not None and remap_payload.t > 0
-                else None
-            ),
-            dpu_of_triplet=dpu_of_triplet if rebalanced else None,
+            remap_nodes=remap_nodes,
+            dpu_of_triplet=dpu_of_triplet if rebalances else None,
             rebalances=rebalances,
         )
+
+    def _scatter(
+        self, dpus: DpuSet, ingest: IngestClock, counts: np.ndarray, edge_bytes: int
+    ) -> int:
+        """Rank-padded parallel scatter of one routed chunk; returns the rounds.
+
+        With a finite ``transfer_batch_edges`` buffer the host flushes every
+        time the fullest core's buffer fills, so the transfer happens in
+        rounds; each round moves at most that many edges per core and pays
+        the per-transfer latency.
+        """
+        batch = self.active_options.transfer_batch_edges
+        if batch is None:
+            ingest.transfer(dpus.transfer.scatter(counts * edge_bytes), "edge batches")
+            return 1
+        remaining = counts.copy()
+        rounds = 0
+        while remaining.max(initial=0) > 0:
+            this_round = np.minimum(remaining, batch)
+            ingest.transfer(
+                dpus.transfer.scatter(this_round * edge_bytes),
+                f"edge batch round {rounds}",
+            )
+            remaining -= this_round
+            rounds += 1
+        return rounds
 
     def _finish_global(self, graph: COOGraph, prep: "_PreparedRun") -> TcResult:
         """Triangle-count phase for the global counting kernel."""
@@ -806,15 +622,24 @@ class PimTcPipeline:
                     "triangle_count", self._host_seconds(10.0, partitioner.num_dpus)
                 )
 
-            kernel_aggregate = self._aggregate(dpus)
-            imbalance = self._harvest_imbalance(prep)
-            dpus.free()
+            return self._close_count(TcResult, graph, prep, estimate, raw_counts, scales)
+
+    def _close_count(
+        self, cls, graph: COOGraph, prep: "_PreparedRun", estimate, raw_counts, scales,
+        **extra,
+    ):
+        """End the count phase — harvest the charges, free the cores — and
+        build the ``cls`` result shared by the global and local paths."""
+        dpus = prep.dpus
+        kernel_aggregate = self._aggregate(dpus)
+        imbalance = self._harvest_imbalance(prep)
+        dpus.free()
         self._record_kernel_metrics(kernel_aggregate)
-        return TcResult(
+        return cls(
             estimate=estimate,
-            num_colors=opts.num_colors,
-            num_dpus=partitioner.num_dpus,
-            clock=clock,
+            num_colors=self.active_options.num_colors,
+            num_dpus=prep.partitioner.num_dpus,
+            clock=prep.clock,
             per_dpu_counts=raw_counts,
             reservoir_scales=scales,
             edges_routed=prep.routed_counts,
@@ -826,6 +651,7 @@ class PimTcPipeline:
             trace=dpus.trace,
             telemetry=self.telemetry,
             imbalance=imbalance,
+            **extra,
         )
 
     def _run_meta(self, prep: "_PreparedRun") -> dict:
@@ -884,28 +710,10 @@ class PimTcPipeline:
                     self._host_seconds(2.0, partitioner.num_dpus * graph.num_nodes),
                 )
 
-            kernel_aggregate = self._aggregate(dpus)
-            imbalance = self._harvest_imbalance(prep)
-            dpus.free()
-        self._record_kernel_metrics(kernel_aggregate)
-        return LocalTcResult(
-            estimate=estimate,
-            num_colors=opts.num_colors,
-            num_dpus=partitioner.num_dpus,
-            clock=clock,
-            per_dpu_counts=raw_counts,
-            reservoir_scales=scales,
-            edges_routed=prep.routed_counts,
-            edges_input=graph.num_edges,
-            uniform_p=prep.uniform_p,
-            kernel=kernel_aggregate,
-            host_wall_seconds=time.perf_counter() - prep.wall_start,
-            meta=self._run_meta(prep),
-            trace=dpus.trace,
-            telemetry=self.telemetry,
-            imbalance=imbalance,
-            local_estimates=combined,
-        )
+            return self._close_count(
+                LocalTcResult, graph, prep, estimate, raw_counts, scales,
+                local_estimates=combined,
+            )
 
     # ----------------------------------------------------------------- internals
     def _maybe_rebalance(
@@ -920,7 +728,7 @@ class PimTcPipeline:
         edge_bytes: int,
         batch_index: int,
         rebalances: list[dict],
-    ) -> np.ndarray | None:
+    ) -> np.ndarray:
         """Recompute the triplet->core map when accumulated skew warrants it.
 
         Trigger: the coefficient of variation of accumulated per-core insert
@@ -929,14 +737,14 @@ class PimTcPipeline:
         with the least-loaded cores.  Each triplet's partially built sample
         migrates to its new core; the move is charged as a rank-padded
         scatter of the resident bytes plus a trace event, so rebalanced runs
-        honestly pay for the shuffle.  Returns the new map, or None when the
-        trigger did not fire or the greedy map equals the current one.
+        honestly pay for the shuffle.  Returns the new map, or the current
+        one when the trigger did not fire or the greedy map equals it.
         """
         from ..observability.imbalance import skew_stats
 
         cv = skew_stats(insert_secs).cv
         if cv <= self.active_options.rebalance_cv:
-            return None
+            return dpu_of_triplet
         num_dpus = dpu_of_triplet.size
         ids = np.arange(num_dpus)
         heavy_first = np.lexsort((ids, -routed_counts))
@@ -945,7 +753,7 @@ class PimTcPipeline:
         new_map[heavy_first] = idle_first
         moved = np.nonzero(new_map != dpu_of_triplet)[0]
         if moved.size == 0:
-            return None
+            return dpu_of_triplet
         moved_bytes = np.zeros(num_dpus, dtype=np.int64)
         for t in moved.tolist():
             stored = min(int(reservoirs[t].seen), capacity)
@@ -1057,11 +865,10 @@ class PimTcPipeline:
         """Fold one edge chunk's node stream into ``merged`` (per-thread splits).
 
         The chunk's interleaved node stream is split across the model's host
-        threads, each summarized locally, and merged — the same merged-summary
-        scheme the monolithic pass uses over the whole stream.  Note that
-        Misra-Gries merged summaries are not split-invariant: chunked runs can
-        produce a different (still valid, still within the ``n/K`` error
-        guarantee) summary than one monolithic pass.
+        threads, each summarized locally, and merged.  Merged Misra-Gries
+        summaries are not split-invariant: a chunked run can hold a different
+        (still valid, still within the ``n/K`` error guarantee) summary than a
+        one-chunk run.
         """
         stream = np.empty(2 * int(src.size), dtype=np.int64)
         stream[0::2] = src
@@ -1083,18 +890,6 @@ class PimTcPipeline:
                 len(top)
             )
         return RemapTable(nodes=np.array(top, dtype=np.int64), num_nodes=num_nodes)
-
-    def _run_misra_gries(self, kept: COOGraph, clock: SimClock) -> RemapTable:
-        """Per-thread Misra-Gries over the node stream, merged, top-t extracted."""
-        merged = MisraGries(self.active_options.misra_gries_k)
-        self._mg_update(merged, kept.src, kept.dst)
-        clock.advance(
-            "sample_creation",
-            self._host_seconds(
-                self.active_options.mg_host_cycles_per_edge, kept.num_edges
-            ),
-        )
-        return self._mg_table(merged, kept.num_nodes)
 
     @staticmethod
     def _aggregate(dpus) -> KernelAggregate:

@@ -41,10 +41,24 @@ class TestOptionsValidation:
         with pytest.raises(ConfigurationError):
             PimTcPipeline(PimTcOptions(num_colors=3), system=tiny)
 
-    def test_rejects_zero_reservoir(self):
+    @pytest.mark.parametrize("capacity", [0, 1, 2])
+    def test_rejects_zero_reservoir(self, capacity):
+        # No triangle fits in fewer than 3 edges: such a reservoir would
+        # silently zero the estimate instead of failing.
         g = erdos_renyi(20, 40, np.random.default_rng(0)).canonicalize()
         with pytest.raises(ConfigurationError):
-            run_pipeline(g, num_colors=2, reservoir_capacity=0)
+            run_pipeline(g, num_colors=2, reservoir_capacity=capacity)
+
+    @pytest.mark.parametrize("fraction", [1.0, 1.5, -3.0])
+    def test_rejects_reserve_fraction_outside_unit_interval(self, fraction):
+        # 1.0 and above would size the reservoir to one edge (estimate 0);
+        # a negative reserve would size it beyond the MRAM bank.
+        with pytest.raises(ConfigurationError):
+            PimTcOptions(mram_reserve_fraction=fraction)
+
+    def test_accepts_smallest_valid_reservoir_settings(self):
+        PimTcOptions(reservoir_capacity=3, mram_reserve_fraction=0.0)
+        PimTcOptions(mram_reserve_fraction=0.999)
 
 
 class TestExactCounting:
