@@ -170,34 +170,6 @@ class TestDefaultPipeline:
         assert kinds == ["scatter", "launch"]
 
 
-class TestOneChunkParity:
-    """A chunked run whose only chunk is the whole stream charges the cores
-    exactly like the default path: the two differ only in how the chunk's
-    seconds reach the clock."""
-
-    def test_overflowing_reservoirs_charge_the_same_writes(self):
-        graph = get_dataset(*GRAPH)
-        runs = [
-            PimTriangleCounter(
-                options=PimTcOptions(
-                    num_colors=NUM_COLORS,
-                    seed=SEED,
-                    reservoir_capacity=300,
-                    batch_edges=batch_edges,
-                )
-            ).count(graph)
-            for batch_edges in (None, graph.num_edges)
-        ]
-        default, chunked = (_pipeline_snapshot(r) for r in runs)
-        assert (runs[0].reservoir_scales < 1.0).all()  # every core overflowed
-        assert chunked["ledger"] == default["ledger"]
-        assert chunked["estimate"] == default["estimate"]
-        assert chunked["per_dpu_counts"] == default["per_dpu_counts"]
-        assert chunked["kernel"] == default["kernel"]
-        for phase, seconds in default["phases"].items():
-            assert chunked["phases"][phase] == pytest.approx(seconds, rel=1e-12)
-
-
 class TestDefaultDynamic:
     @pytest.mark.parametrize("case", sorted(DYNAMIC_CASES))
     def test_rounds_bit_identical(self, golden, case):

@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.api import PimTriangleCounter
 from repro.graph.coo import COOGraph
+from repro.graph.datasets import get_dataset
 from repro.graph.generators import erdos_renyi
 from repro.observability import (
     ImbalanceLedger,
@@ -190,6 +191,25 @@ class TestObservationOnly:
         assert np.array_equal(
             batched.imbalance.edges_routed, mono.imbalance.edges_routed
         )
+
+    def test_one_chunk_run_charges_like_default_under_overflow(self):
+        """A chunked run whose only chunk is the whole stream charges the
+        cores exactly like the default path, reservoir overflow included:
+        MRAM writes cover the edges added to the resident sample."""
+        g = get_dataset("humanjung", "tiny")
+        default, chunked = (
+            PimTriangleCounter(
+                num_colors=4, seed=3, reservoir_capacity=300, batch_edges=b
+            ).count(g)
+            for b in (None, g.num_edges)
+        )
+        assert (default.reservoir_scales < 1.0).all()  # every core overflowed
+        for column in (*SKEW_METRICS, "edges_stored", "xfer_bytes", "heavy_nodes"):
+            assert np.array_equal(
+                getattr(chunked.imbalance, column), getattr(default.imbalance, column)
+            ), column
+        assert chunked.estimate == default.estimate
+        assert np.array_equal(chunked.per_dpu_counts, default.per_dpu_counts)
 
 
 class TestRendering:
