@@ -92,40 +92,37 @@ def _build_parser() -> argparse.ArgumentParser:
                              "host samples/routes/transfers the stream in "
                              "B-edge chunks (bounded memory, double-buffered "
                              "overlap with DPU inserts); default: the whole "
-                             "stream as one chunk (or $REPRO_BATCH_EDGES)")
-    parser.add_argument("--partitioner", default=None,
+                             "stream as one chunk")
+    parser.add_argument("--partitioner", default="hash",
                         choices=("hash", "degree", "auto"),
                         help="edge-partitioning strategy: 'hash' (universal "
                              "hash coloring, the paper's), 'degree' "
                              "(degree-based hub placement), or 'auto' (pick "
                              "strategy, C and Misra-Gries from graph stats; "
                              "see docs/partitioning.md); counts are identical "
-                             "across strategies "
-                             "(default: $REPRO_PARTITIONER or hash)")
+                             "across strategies (default: hash)")
     parser.add_argument("--rebalance-cv", type=float, default=None, metavar="CV",
                         help="with --batch-edges: recompute the triplet->core "
                              "assignment between chunks whenever the cv of "
                              "accumulated per-core insert seconds exceeds CV "
                              "(resident samples migrate, charged as a "
-                             "scatter); default: disabled "
-                             "(or $REPRO_REBALANCE_CV)")
-    parser.add_argument("--kernel", default=None,
+                             "scatter); default: disabled")
+    parser.add_argument("--kernel", default="merge",
                         choices=KERNEL_VARIANTS,
                         help="counting kernel variant: 'merge' (the paper's "
                              "Sec. 3.4 merge-intersection) or 'probe' "
                              "(binary-search wedge checks, a different cost "
-                             "model; same count arithmetic) "
-                             "(default: $REPRO_KERNEL or merge)")
+                             "model; same count arithmetic) (default: merge)")
     parser.add_argument("--local", action="store_true",
                         help="also compute per-node (local) triangle counts")
     parser.add_argument("--top", type=int, default=5,
                         help="with --local: how many top nodes to print")
     parser.add_argument("--trials", type=int, default=1,
                         help="repeat with different seeds and report mean/std")
-    parser.add_argument("--executor", default=None, choices=EXECUTOR_NAMES,
+    parser.add_argument("--executor", default="serial", choices=EXECUTOR_NAMES,
                         help="host engine for the per-DPU kernel runs; changes "
                              "wall-clock only, never simulated time "
-                             "(default: $REPRO_EXECUTOR or serial)")
+                             "(default: serial)")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker count for --executor thread/process "
                              "(default: all cores)")
@@ -416,7 +413,7 @@ def _emit_telemetry(args, graph, result, logger=None) -> None:
                 "colors": args.colors,
                 "seed": args.seed + args.trials - 1,
                 "uniform_p": args.uniform_p,
-                "executor": args.executor or "serial",
+                "executor": args.executor,
                 "tier": args.tier,
             },
             run_id=logger.run_id if logger is not None else None,

@@ -27,6 +27,7 @@ def run(
     seed: int = 0,
     graph_name: str = "wikipedia",
     sweep: tuple[int, ...] = BATCH_SWEEP,
+    counter_options: dict | None = None,
 ) -> Table:
     colors = DEFAULT_COLORS[tier]
     graph = get_dataset(graph_name, tier)

@@ -28,6 +28,7 @@ def run(
     seed: int = 0,
     graph_name: str = "kronecker23",
     sweep: tuple[int, ...] = THREAD_SWEEP,
+    counter_options: dict | None = None,
 ) -> Table:
     colors = DEFAULT_COLORS[tier]
     graph = get_dataset(graph_name, tier)
@@ -44,7 +45,7 @@ def run(
     for threads in sweep:
         config = PimSystemConfig().with_cost(host_threads=threads)
         result = PimTriangleCounter(
-            num_colors=colors, seed=seed, system_config=config
+            num_colors=colors, seed=seed, system_config=config, **(counter_options or {})
         ).count(graph)
         sample_ms = result.sample_creation_seconds * 1e3
         if base_sample is None:

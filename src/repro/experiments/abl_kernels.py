@@ -26,8 +26,14 @@ __all__ = ["run", "KERNEL_GRAPHS"]
 KERNEL_GRAPHS = ("v1r", "humanjung", "kronecker23", "wikipedia")
 
 
-def run(tier: str = "small", seed: int = 0, graphs: tuple[str, ...] = KERNEL_GRAPHS) -> Table:
+def run(
+    tier: str = "small",
+    seed: int = 0,
+    graphs: tuple[str, ...] = KERNEL_GRAPHS,
+    counter_options: dict | None = None,
+) -> Table:
     colors = DEFAULT_COLORS[tier]
+    opts = counter_options or {}
     table = Table(
         title=f"Ablation — merge vs probe counting kernels (tier={tier}, C={colors})",
         headers=["Graph", "Merge ms", "Probe ms", "Merge+MG ms", "Best", "Exact?"],
@@ -40,14 +46,14 @@ def run(tier: str = "small", seed: int = 0, graphs: tuple[str, ...] = KERNEL_GRA
     for name in graphs:
         graph = get_dataset(name, tier)
         truth = ground_truth(name, tier)
-        merge = PimTriangleCounter(num_colors=colors, seed=seed).count(graph)
+        merge = PimTriangleCounter(num_colors=colors, seed=seed, **opts).count(graph)
         probe = (
-            PimTriangleCounter(num_colors=colors, seed=seed)
+            PimTriangleCounter(num_colors=colors, seed=seed, **opts)
             .with_options(kernel_variant="probe")
             .count(graph)
         )
         merge_mg = PimTriangleCounter(
-            num_colors=colors, seed=seed, misra_gries_k=1024, misra_gries_t=64
+            num_colors=colors, seed=seed, misra_gries_k=1024, misra_gries_t=64, **opts
         ).count(graph)
         times = {
             "merge": merge.triangle_count_seconds,

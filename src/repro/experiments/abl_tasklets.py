@@ -33,6 +33,7 @@ def run(
     seed: int = 0,
     graph_name: str = "orkut",
     sweep: tuple[int, ...] = TASKLET_SWEEP,
+    counter_options: dict | None = None,
 ) -> Table:
     colors = DEFAULT_COLORS[tier]
     graph = get_dataset(graph_name, tier)
@@ -49,7 +50,7 @@ def run(
     for tasklets in sweep:
         config = PimSystemConfig(dpu=DpuConfig(num_tasklets=tasklets))
         result = PimTriangleCounter(
-            num_colors=colors, seed=seed, system_config=config
+            num_colors=colors, seed=seed, system_config=config, **(counter_options or {})
         ).count(graph)
         count_ms = result.triangle_count_seconds * 1e3
         if base_ms is None:

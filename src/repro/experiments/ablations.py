@@ -25,8 +25,11 @@ from .tables import Table
 __all__ = ["run_coloring", "run_compose", "run_energy"]
 
 
-def run_coloring(tier: str = "small", seed: int = 0, graph_name: str = "orkut") -> Table:
+def run_coloring(
+    tier: str = "small", seed: int = 0, graph_name: str = "orkut", counter_options: dict | None = None
+) -> Table:
     graph = get_dataset(graph_name, tier)
+    opts = counter_options or {}
     truth = ground_truth(graph_name, tier)
     sweeps = {"tiny": (1, 2, 4), "small": (1, 2, 4, 8), "bench": (1, 2, 4, 8, 16)}[tier]
     table = Table(
@@ -40,7 +43,7 @@ def run_coloring(tier: str = "small", seed: int = 0, graph_name: str = "orkut") 
         ),
     )
     for colors in sweeps:
-        result = PimTriangleCounter(num_colors=colors, seed=seed).count(graph)
+        result = PimTriangleCounter(num_colors=colors, seed=seed, **opts).count(graph)
         assert result.count == truth
         table.add_row(
             colors,
@@ -53,8 +56,14 @@ def run_coloring(tier: str = "small", seed: int = 0, graph_name: str = "orkut") 
     return table
 
 
-def run_compose(tier: str = "small", seed: int = 0, graph_name: str = "kronecker23") -> Table:
+def run_compose(
+    tier: str = "small",
+    seed: int = 0,
+    graph_name: str = "kronecker23",
+    counter_options: dict | None = None,
+) -> Table:
     graph = get_dataset(graph_name, tier)
+    opts = counter_options or {}
     truth = ground_truth(graph_name, tier)
     colors = DEFAULT_COLORS[tier]
     expected_max = 6.0 * graph.num_edges / colors**2
@@ -78,7 +87,7 @@ def run_compose(tier: str = "small", seed: int = 0, graph_name: str = "kronecker
         errs, samples, counts, est = [], [], [], 0.0
         for trial in range(3):
             counter = PimTriangleCounter(
-                num_colors=colors, seed=seed + 97 * trial, **overrides
+                num_colors=colors, seed=seed + 97 * trial, **overrides, **opts
             )
             result = counter.count(graph)
             errs.append(relative_error(result.estimate, truth))
@@ -95,8 +104,11 @@ def run_compose(tier: str = "small", seed: int = 0, graph_name: str = "kronecker
     return table
 
 
-def run_energy(tier: str = "small", seed: int = 0, graph_name: str = "orkut") -> Table:
+def run_energy(
+    tier: str = "small", seed: int = 0, graph_name: str = "orkut", counter_options: dict | None = None
+) -> Table:
     graph = get_dataset(graph_name, tier)
+    opts = counter_options or {}
     model = EnergyModel()
     sweeps = {"tiny": (2, 4), "small": (2, 4, 8), "bench": (2, 4, 8, 16)}[tier]
     table = Table(
@@ -108,7 +120,7 @@ def run_energy(tier: str = "small", seed: int = 0, graph_name: str = "orkut") ->
         ),
     )
     for colors in sweeps:
-        result = PimTriangleCounter(num_colors=colors, seed=seed).count(graph)
+        result = PimTriangleCounter(num_colors=colors, seed=seed, **opts).count(graph)
         k = result.kernel
         dynamic_j = k.instructions * model.instruction_j + k.dma_bytes * model.mram_byte_j
         table.add_row(

@@ -20,7 +20,12 @@ from .tables import Table
 __all__ = ["run"]
 
 
-def run(tier: str = "small", seed: int = 0, num_colors: int | None = None) -> Table:
+def run(
+    tier: str = "small",
+    seed: int = 0,
+    num_colors: int | None = None,
+    counter_options: dict | None = None,
+) -> Table:
     colors = num_colors or DEFAULT_COLORS[tier]
     table = Table(
         title=f"Figure 3 — throughput vs max degree (tier={tier}, C={colors})",
@@ -33,7 +38,7 @@ def run(tier: str = "small", seed: int = 0, num_colors: int | None = None) -> Ta
     from ..graph.datasets import get_dataset
     from ..graph.stats import degree_stats
 
-    counter = PimTriangleCounter(num_colors=colors, seed=seed)
+    counter = PimTriangleCounter(num_colors=colors, seed=seed, **(counter_options or {}))
     for name in paper_graph_order_by_max_degree(tier):
         graph = get_dataset(name, tier)
         max_deg, _ = degree_stats(graph)

@@ -21,8 +21,14 @@ __all__ = ["run", "SCALING_GRAPHS"]
 SCALING_GRAPHS = ("kronecker23", "livejournal", "orkut", "wikipedia")
 
 
-def run(tier: str = "small", seed: int = 0, graphs: tuple[str, ...] = SCALING_GRAPHS) -> Table:
+def run(
+    tier: str = "small",
+    seed: int = 0,
+    graphs: tuple[str, ...] = SCALING_GRAPHS,
+    counter_options: dict | None = None,
+) -> Table:
     sweeps = SCALING_COLOR_SWEEPS[tier]
+    opts = counter_options or {}
     table = Table(
         title=f"Figure 4 — PIM core scaling (tier={tier})",
         headers=["Graph", "Colors", "DPUs", "Total ms", "Speedup", "Exact?"],
@@ -37,7 +43,7 @@ def run(tier: str = "small", seed: int = 0, graphs: tuple[str, ...] = SCALING_GR
         truth = ground_truth(name, tier)
         baseline_time = None
         for colors in sweeps:
-            result = PimTriangleCounter(num_colors=colors, seed=seed).count(graph)
+            result = PimTriangleCounter(num_colors=colors, seed=seed, **opts).count(graph)
             total = result.total_seconds
             if baseline_time is None:
                 baseline_time = total

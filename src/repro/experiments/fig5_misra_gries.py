@@ -31,8 +31,10 @@ def run(
     seed: int = 0,
     graphs: tuple[str, ...] = MG_GRAPHS,
     sweep: tuple[tuple[int, int], ...] = MG_SWEEP,
+    counter_options: dict | None = None,
 ) -> Table:
     colors = DEFAULT_COLORS[tier]
+    opts = counter_options or {}
     table = Table(
         title=f"Figure 5 — Misra-Gries K/t sweep (tier={tier}, C={colors})",
         headers=["Graph", "K", "t", "Count ms", "Total ms", "Speedup vs no-MG", "Exact?"],
@@ -47,7 +49,7 @@ def run(
         base_count_ms = None
         for k, t in sweep:
             counter = PimTriangleCounter(
-                num_colors=colors, seed=seed, misra_gries_k=k, misra_gries_t=t
+                num_colors=colors, seed=seed, misra_gries_k=k, misra_gries_t=t, **opts
             )
             result = counter.count(graph)
             count_ms = result.triangle_count_seconds * 1e3

@@ -35,7 +35,12 @@ BEST_MG = {
 }
 
 
-def run(tier: str = "small", seed: int = 0, num_colors: int | None = None) -> Table:
+def run(
+    tier: str = "small",
+    seed: int = 0,
+    num_colors: int | None = None,
+    counter_options: dict | None = None,
+) -> Table:
     colors = num_colors or FIG6_COLORS[tier]
     table = Table(
         title=f"Figure 6 — static speedup over CPU baseline (tier={tier}, C={colors})",
@@ -54,7 +59,8 @@ def run(tier: str = "small", seed: int = 0, num_colors: int | None = None) -> Ta
         gpu_res = gpu.count(graph, include_ingest=False)
         mg_k, mg_t = BEST_MG.get(name, (0, 0))
         pim_res = PimTriangleCounter(
-            num_colors=colors, seed=seed, misra_gries_k=mg_k, misra_gries_t=mg_t
+            num_colors=colors, seed=seed, misra_gries_k=mg_k, misra_gries_t=mg_t,
+            **(counter_options or {}),
         ).count(graph)
         pim_seconds = pim_res.triangle_count_seconds
         ok = cpu_res.count == gpu_res.count == pim_res.count == truth

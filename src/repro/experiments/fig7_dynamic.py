@@ -30,6 +30,7 @@ def run(
     seed: int = 0,
     graph_name: str = "wikipedia",
     num_updates: int = NUM_UPDATES,
+    counter_options: dict | None = None,
 ) -> Table:
     colors = DEFAULT_COLORS[tier]
     graph = get_dataset(graph_name, tier)

@@ -2,7 +2,10 @@
 
 IDs follow the paper's artifact numbering (``tab1`` .. ``fig7``) plus the
 ablations DESIGN.md calls out.  Each runner has signature
-``run(tier: str = ..., seed: int = 0, **kw) -> Table``.
+``run(tier: str = ..., seed: int = 0, counter_options=None, **kw) -> Table``;
+``counter_options`` are extra :class:`~repro.core.api.PimTriangleCounter`
+keyword arguments for every counter the experiment builds (none for ``tab1``,
+``tab2``, ``fig7`` and ``abl_dynamic``).
 """
 
 from __future__ import annotations

@@ -15,7 +15,9 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 
+from ..pimsim.config import EXECUTOR_NAMES
 from .registry import EXPERIMENTS, experiment_ids, run_experiment
 
 __all__ = ["main"]
@@ -39,17 +41,22 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="B",
         help="run every pipeline the experiments build with streaming ingest "
-             "in B-edge chunks (sets REPRO_BATCH_EDGES for this run); default: "
-             "the whole stream as one ingest chunk",
+             "in B-edge chunks; default: the whole stream as one ingest chunk",
     )
     parser.add_argument(
         "--partitioner",
         default=None,
         choices=("hash", "degree", "auto"),
         help="edge-partitioning strategy for every pipeline the experiments "
-             "build (sets REPRO_PARTITIONER for this run); default: hash "
-             "coloring as in the paper",
+             "build; default: hash coloring as in the paper",
     )
+    parser.add_argument(
+        "--executor",
+        choices=EXECUTOR_NAMES,
+        help="host engine for every pipeline the experiments build; changes "
+             "wall-clock only, never simulated time or counts; default: serial",
+    )
+    parser.add_argument("--jobs", type=int, metavar="N", help="workers for --executor thread/process")
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
     parser.add_argument(
         "--markdown", action="store_true", help="emit a markdown report instead of text"
@@ -124,15 +131,10 @@ def main(argv: list[str] | None = None, telemetry=None) -> int:
     or ``--chrome-trace`` ask for exported telemetry.
     """
     args = _build_parser().parse_args(argv)
-    if args.batch_edges is not None or args.partitioner is not None:
-        # Same env-fallback channel PimTriangleCounter reads for the executor
-        # knobs: every counter the experiment modules construct picks it up.
-        import os
-
-        if args.batch_edges is not None:
-            os.environ["REPRO_BATCH_EDGES"] = str(args.batch_edges)
-        if args.partitioner is not None:
-            os.environ["REPRO_PARTITIONER"] = args.partitioner
+    # Harness flags reach every PimTriangleCounter an experiment builds.
+    flags = ("batch_edges", "partitioner", "executor", "jobs")
+    options = {k: v for k, v in vars(args).items() if k in flags and v is not None}
+    run = partial(run_experiment, tier=args.tier, seed=args.seed, counter_options=options)
     if args.experiment == "list":
         for exp in EXPERIMENTS.values():
             print(f"{exp.id:12s} {exp.paper_artifact:14s} {exp.description}")
@@ -147,7 +149,7 @@ def main(argv: list[str] | None = None, telemetry=None) -> int:
         start = time.perf_counter()
         if telemetry is not None:
             with telemetry.span(exp_id) as span:
-                table = run_experiment(exp_id, tier=args.tier, seed=args.seed)
+                table = run(exp_id)
                 if span is not None:
                     span.attrs["tier"] = args.tier
                     span.attrs["rows"] = len(table.rows)
@@ -158,7 +160,7 @@ def main(argv: list[str] | None = None, telemetry=None) -> int:
                 "experiment.runs", help="experiments executed"
             ).inc()
         else:
-            table = run_experiment(exp_id, tier=args.tier, seed=args.seed)
+            table = run(exp_id)
         elapsed = time.perf_counter() - start
         if args.svg:
             from pathlib import Path

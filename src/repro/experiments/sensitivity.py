@@ -31,12 +31,12 @@ PERTURBED_CONSTANTS = (
 )
 
 
-def _throughput(graph, colors: int, config: PimSystemConfig, seed: int) -> float:
-    counter = PimTriangleCounter(num_colors=colors, seed=seed, system_config=config)
+def _throughput(graph, colors: int, config: PimSystemConfig, seed: int, opts: dict) -> float:
+    counter = PimTriangleCounter(num_colors=colors, seed=seed, system_config=config, **opts)
     return counter.count(graph).throughput_edges_per_ms()
 
 
-def run(tier: str = "small", seed: int = 0) -> Table:
+def run(tier: str = "small", seed: int = 0, counter_options: dict | None = None) -> Table:
     colors = DEFAULT_COLORS[tier]
     flat = get_dataset("v1r", tier)
     hub = get_dataset("wikipedia", tier)
@@ -55,8 +55,8 @@ def run(tier: str = "small", seed: int = 0) -> Table:
             value = getattr(base.cost, constant) * factor
             configs.append((constant, factor, base.with_cost(**{constant: value})))
     for constant, factor, config in configs:
-        tp_flat = _throughput(flat, colors, config, seed)
-        tp_hub = _throughput(hub, colors, config, seed)
+        tp_flat = _throughput(flat, colors, config, seed, counter_options or {})
+        tp_hub = _throughput(hub, colors, config, seed, counter_options or {})
         ratio = tp_flat / tp_hub
         table.add_row(
             constant,

@@ -14,7 +14,7 @@ from .tables import Table
 __all__ = ["run"]
 
 
-def run(tier: str = "small", seed: int = 0) -> Table:
+def run(tier: str = "small", seed: int = 0, counter_options: dict | None = None) -> Table:
     table = Table(
         title=f"Table 1 — graphs used in the evaluations (tier={tier})",
         headers=["Graph", "|E|", "|V|", "Triangles", "Stands in for"],

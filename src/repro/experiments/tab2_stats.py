@@ -16,7 +16,7 @@ from .tables import Table
 __all__ = ["run"]
 
 
-def run(tier: str = "small", seed: int = 0) -> Table:
+def run(tier: str = "small", seed: int = 0, counter_options: dict | None = None) -> Table:
     table = Table(
         title=f"Table 2 — degree and clustering statistics (tier={tier})",
         headers=["Graph", "Max degree", "Avg degree", "Global clustering"],

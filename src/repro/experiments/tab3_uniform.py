@@ -29,8 +29,10 @@ def run(
     seed: int = 0,
     ps: tuple[float, ...] = UNIFORM_PS,
     trials: int = 3,
+    counter_options: dict | None = None,
 ) -> Table:
     colors = DEFAULT_COLORS[tier]
+    opts = counter_options or {}
     table = Table(
         title=f"Table 3 — relative error vs uniform sampling p (tier={tier}, C={colors})",
         headers=["Graph"] + [f"p={p}" for p in ps] + ["Speedup@min p"],
@@ -42,9 +44,8 @@ def run(
     for name in DATASET_NAMES:
         graph = get_dataset(name, tier)
         truth = ground_truth(name, tier)
-        exact_time = (
-            PimTriangleCounter(num_colors=colors, seed=seed).count(graph).seconds_without_setup
-        )
+        exact = PimTriangleCounter(num_colors=colors, seed=seed, **opts).count(graph)
+        exact_time = exact.seconds_without_setup
         errors = []
         min_p_time = None
         for p in ps:
@@ -52,7 +53,7 @@ def run(
             times = []
             for trial in range(trials):
                 counter = PimTriangleCounter(
-                    num_colors=colors, uniform_p=p, seed=seed + 1000 * trial
+                    num_colors=colors, uniform_p=p, seed=seed + 1000 * trial, **opts
                 )
                 result = counter.count(graph)
                 errs.append(relative_error(result.estimate, truth))

@@ -26,6 +26,7 @@ def run(
     seed: int = 0,
     fractions: tuple[float, ...] = RESERVOIR_FRACTIONS,
     trials: int = 3,
+    counter_options: dict | None = None,
 ) -> Table:
     colors = DEFAULT_COLORS[tier]
     table = Table(
@@ -49,6 +50,7 @@ def run(
                     num_colors=colors,
                     reservoir_capacity=capacity,
                     seed=seed + 1000 * trial,
+                    **(counter_options or {}),
                 )
                 result = counter.count(graph)
                 errs.append(relative_error(result.estimate, truth))

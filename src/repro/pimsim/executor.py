@@ -148,10 +148,11 @@ def _chunk_slices(n: int, parts: int) -> list[slice]:
 class Executor:
     """Common interface of the execution engines.
 
-    The one primitive is :meth:`map_dpus`: apply a per-DPU task to every DPU,
-    preserving any mutation the task makes to the DPU object, and return the
-    task results in DPU order.  :meth:`launch` and :meth:`gather` are the two
-    host operations built on it.
+    The one primitive is :meth:`map_dpus_async`: apply a per-DPU task to
+    every DPU, preserving any mutation the task makes to the DPU object, and
+    return a ``join`` that yields the task results in DPU order.
+    :meth:`map_dpus` joins it at once; :meth:`launch` and :meth:`gather` are
+    the two host operations built on that.
     """
 
     name = "abstract"
@@ -166,7 +167,7 @@ class Executor:
         self, fn: DpuTask, dpus: list[Dpu], payloads: Sequence[Any]
     ) -> list[Any]:
         """Apply ``fn(dpu, payload)`` to every DPU; results in DPU order."""
-        raise NotImplementedError
+        return self.map_dpus_async(fn, dpus, payloads)()
 
     def map_dpus_timed(
         self, fn: DpuTask, dpus: list[Dpu], payloads: Sequence[Any]
@@ -191,13 +192,11 @@ class Executor:
         unrelated host work (the batched ingest loop routes the next edge
         chunk here) but must not touch the DPUs or the payloads.
 
-        The base implementation is eager (runs the map at dispatch time), so
-        poolless engines keep their semantics; pooled engines override it to
-        overlap the work with the caller's.  Results are identical either
-        way — only wall-clock changes, never simulated time or counts.
+        The serial engine is eager (runs the map at dispatch time); pooled
+        engines overlap the work with the caller's.  Results are identical
+        either way — only wall-clock changes, never simulated time or counts.
         """
-        results = self.map_dpus(fn, dpus, payloads)
-        return lambda: results
+        raise NotImplementedError
 
     # ------------------------------------------------------------- operations
     def launch(self, kernel: Kernel, dpus: list[Dpu]) -> list[float]:
@@ -234,6 +233,12 @@ class SerialExecutor(Executor):
     ) -> list[Any]:
         return [fn(dpu, payload) for dpu, payload in zip(dpus, payloads)]
 
+    def map_dpus_async(
+        self, fn: DpuTask, dpus: list[Dpu], payloads: Sequence[Any]
+    ) -> Callable[[], list[Any]]:
+        results = self.map_dpus(fn, dpus, payloads)
+        return lambda: results
+
 
 class ThreadExecutor(Executor):
     """Fan per-DPU tasks out to a thread pool.
@@ -254,20 +259,12 @@ class ThreadExecutor(Executor):
             self._pool = ThreadPoolExecutor(max_workers=self.jobs)
         return self._pool
 
-    def map_dpus(
-        self, fn: DpuTask, dpus: list[Dpu], payloads: Sequence[Any]
-    ) -> list[Any]:
-        if len(dpus) <= 1 or self.jobs == 1:
-            return [fn(dpu, payload) for dpu, payload in zip(dpus, payloads)]
-        pool = self._ensure_pool()
-        futures = [pool.submit(fn, dpu, payload) for dpu, payload in zip(dpus, payloads)]
-        return [f.result() for f in futures]
-
     def map_dpus_async(
         self, fn: DpuTask, dpus: list[Dpu], payloads: Sequence[Any]
     ) -> Callable[[], list[Any]]:
         if len(dpus) <= 1 or self.jobs == 1:
-            return super().map_dpus_async(fn, dpus, payloads)
+            results = [fn(dpu, payload) for dpu, payload in zip(dpus, payloads)]
+            return lambda: results
         pool = self._ensure_pool()
         futures = [pool.submit(fn, dpu, payload) for dpu, payload in zip(dpus, payloads)]
         return lambda: [f.result() for f in futures]
@@ -287,16 +284,16 @@ class ProcessExecutor(Executor):
     boundaries are a pure function of ``(len(dpus), jobs)`` and merging is by
     index, so the engine cannot perturb results or the cost model.
 
-    By default chunks travel through POSIX shared memory (:mod:`.shm`): the
-    large arrays — DPU MRAM samples, routed edge chunks, reservoir backing
-    arrays — are spilled into one segment per chunk and the pickled control
-    message shrinks to the object skeleton plus a name/offset table.  Each
-    segment is unlinked the moment its chunk's future resolves (success or
-    worker crash); :meth:`close` — which ``DpuSet.free()`` calls — unlinks
-    any leftovers, so no ``/dev/shm`` entry outlives the run.  Set
-    ``REPRO_SHM=0`` (or ``shm=False``) to force the plain pickling path; the
-    two transports are bit-identical by construction (the worker sees equal
-    arrays either way).
+    Chunks travel through POSIX shared memory (:mod:`.shm`): the large
+    arrays — DPU MRAM samples, routed edge chunks, reservoir backing arrays —
+    are spilled into one segment per chunk and the pickled control message
+    shrinks to the object skeleton plus a name/offset table.  Each segment is
+    unlinked the moment its chunk's future resolves (success or worker
+    crash); :meth:`close` — which ``DpuSet.free()`` calls — unlinks any
+    leftovers, so no ``/dev/shm`` entry outlives the run.  Where shared
+    memory is unavailable (:func:`.shm.shm_available`) or a segment cannot be
+    created, the chunk is pickled instead; the two transports are
+    bit-identical by construction (the worker sees equal arrays either way).
 
     If the platform refuses to give us a process pool (sandboxes without
     semaphores, for instance), the engine warns once and falls back to serial
@@ -305,14 +302,10 @@ class ProcessExecutor(Executor):
 
     name = "process"
 
-    def __init__(self, jobs: int | None = None, shm: bool | None = None) -> None:
+    def __init__(self, jobs: int | None = None) -> None:
         super().__init__(jobs)
         self._pool: ProcessPoolExecutor | None = None
         self._fallback = False
-        if shm is None:
-            env = os.environ.get("REPRO_SHM", "").strip().lower()
-            shm = env not in ("0", "false", "off", "no")
-        self._shm_wanted = bool(shm)
         self._segments: dict[str, ShmSegment] = {}
 
     # ------------------------------------------------------------- transport
@@ -329,7 +322,7 @@ class ProcessExecutor(Executor):
         on the plain pickling path).  Any shared-memory failure degrades to
         pickling — the transport must never change results or kill a run.
         """
-        if self._shm_wanted and shm_available():
+        if shm_available():
             try:
                 encoded = encode_chunk((chunk_dpus, chunk_payloads))
             except OSError:
@@ -365,56 +358,27 @@ class ProcessExecutor(Executor):
                 return None
         return self._pool
 
-    def map_dpus(
+    def map_dpus_async(
         self, fn: DpuTask, dpus: list[Dpu], payloads: Sequence[Any]
-    ) -> list[Any]:
+    ) -> Callable[[], list[Any]]:
         n = len(dpus)
-        # jobs=1 (or a single DPU) degrades gracefully: no pool, no pickling.
-        if n <= 1 or self.jobs == 1:
-            return [fn(dpu, payload) for dpu, payload in zip(dpus, payloads)]
-        pool = self._ensure_pool()
+        pool = None if n <= 1 or self.jobs == 1 else self._ensure_pool()
         if pool is None:
-            return [fn(dpu, payload) for dpu, payload in zip(dpus, payloads)]
+            # jobs=1, a single DPU or no pool: run in-process, no pickling.
+            results = [fn(dpu, payload) for dpu, payload in zip(dpus, payloads)]
+            return lambda: results
         chunks = _chunk_slices(n, self.jobs)
         payloads = list(payloads)
         try:
             submissions = [
                 self._submit_chunk(pool, fn, dpus[sl], payloads[sl]) for sl in chunks
             ]
-            merged = []
-            for future, segment in submissions:
-                try:
-                    merged.append(future.result())
-                finally:
-                    # The worker is done with the chunk (or died); either way
-                    # its segment must not outlive the future.
-                    self._release_segment(segment)
         except Exception:
-            # A broken pool (killed worker, unpicklable payload) is a real
-            # error for the caller to see; just don't leak the pool — close()
-            # also unlinks the segments of chunks that never completed.
+            # An unpicklable payload or a broken pool is a real error for the
+            # caller to see; just don't leak the pool or the segments already
+            # created — close() unlinks them.
             self.close()
             raise
-        results: list[Any] = [None] * n
-        for sl, (chunk_dpus, chunk_results) in zip(chunks, merged):
-            dpus[sl] = chunk_dpus  # splice post-run state back, by position
-            results[sl] = chunk_results
-        return results
-
-    def map_dpus_async(
-        self, fn: DpuTask, dpus: list[Dpu], payloads: Sequence[Any]
-    ) -> Callable[[], list[Any]]:
-        n = len(dpus)
-        if n <= 1 or self.jobs == 1:
-            return super().map_dpus_async(fn, dpus, payloads)
-        pool = self._ensure_pool()
-        if pool is None:
-            return super().map_dpus_async(fn, dpus, payloads)
-        chunks = _chunk_slices(n, self.jobs)
-        payloads = list(payloads)
-        submissions = [
-            self._submit_chunk(pool, fn, dpus[sl], payloads[sl]) for sl in chunks
-        ]
 
         def join() -> list[Any]:
             try:
@@ -423,13 +387,15 @@ class ProcessExecutor(Executor):
                     try:
                         merged.append(future.result())
                     finally:
+                        # The worker is done with the chunk (or died); either
+                        # way its segment must not outlive the future.
                         self._release_segment(segment)
             except Exception:
                 self.close()
                 raise
             results: list[Any] = [None] * n
             for sl, (chunk_dpus, chunk_results) in zip(chunks, merged):
-                dpus[sl] = chunk_dpus  # deferred splice of post-run state
+                dpus[sl] = chunk_dpus  # splice post-run state back, by position
                 results[sl] = chunk_results
             return results
 

@@ -310,7 +310,18 @@ class TriangleService:
         num_nodes = request.get("num_nodes")
         if not isinstance(num_nodes, int) or num_nodes < 1:
             raise SessionError("invalid_request", "open needs integer num_nodes >= 1")
-        budget = request.get("memory_budget_bytes", self.config.memory_budget_bytes)
+        options = dict(
+            num_colors=4, seed=0, misra_gries_k=0, misra_gries_t=0, batch_edges=None,
+            max_queue_depth=self.config.max_queue_depth,
+            memory_budget_bytes=self.config.memory_budget_bytes,
+        )
+        for key, default in options.items():
+            value = options[key] = request.get(key, default)
+            if value is None and key in ("batch_edges", "memory_budget_bytes"):
+                continue  # null: no chunking / no budget
+            # Integers only: int() would truncate 4.9 and accept "7" or True.
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise SessionError("invalid_request", f"open option {key!r} must be an integer")
         event_log = (
             os.path.join(self.config.event_dir, f"{name}.ndjson")
             if self.config.event_dir
@@ -319,15 +330,7 @@ class TriangleService:
         session = GraphSession(
             name,
             num_nodes,
-            num_colors=int(request.get("num_colors", 4)),
-            seed=int(request.get("seed", 0)),
-            misra_gries_k=int(request.get("misra_gries_k", 0)),
-            misra_gries_t=int(request.get("misra_gries_t", 0)),
-            batch_edges=request.get("batch_edges"),
-            memory_budget_bytes=budget,
-            max_queue_depth=int(
-                request.get("max_queue_depth", self.config.max_queue_depth)
-            ),
+            **options,
             event_log=event_log,
             observability=self.config.observability,
         )
@@ -541,7 +544,10 @@ async def _serve(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.queue_depth < 1:
+        parser.error("--queue-depth must be >= 1")
     try:
         return asyncio.run(_serve(args))
     except KeyboardInterrupt:

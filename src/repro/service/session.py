@@ -42,6 +42,7 @@ from typing import Any
 
 import numpy as np
 
+from ..common.errors import ConfigurationError
 from ..core.dynamic import DynamicPimCounter
 from ..graph.coo import COOGraph
 from ..observability.logjson import NdjsonLogger
@@ -90,6 +91,9 @@ class GraphSession:
         event_log: str | None = None,
         observability: bool = True,
     ) -> None:
+        # asyncio.Queue treats maxsize <= 0 as unbounded: no backpressure.
+        if max_queue_depth < 1:
+            raise ConfigurationError(f"max_queue_depth must be >= 1, got {max_queue_depth}")
         self.name = name
         self.observability = bool(observability)
         self.telemetry = Telemetry(enabled=self.observability)

@@ -209,18 +209,6 @@ class TestConfiguration:
             PimTcOptions(batch_edges=0)
         assert PimTcOptions().batch_edges is None
 
-    def test_env_fallback(self, small_graph, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_EDGES", "64")
-        counter = PimTriangleCounter(num_colors=3, seed=1)
-        assert counter.options.batch_edges == 64
-        result = counter.count(small_graph)
-        assert result.meta["ingest_batches"] == num_batches(small_graph.num_edges, 64)
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_EDGES", "64")
-        counter = PimTriangleCounter(num_colors=3, batch_edges=7)
-        assert counter.options.batch_edges == 7
-
     def test_cli_flag(self, small_graph, tmp_path, capsys):
         from repro.cli import main
         from repro.graph.io import write_edge_list

@@ -84,14 +84,13 @@ class TestKernelOnDpu:
 
 
 class TestPipelineVariant:
-    def test_option_validated(self, monkeypatch):
+    def test_option_validated(self):
         # "fastvec" is a retired variant: rejected, never mapped to "merge".
         for variant in ("quantum", "fastvec"):
             with pytest.raises(ConfigurationError):
                 PimTcOptions(kernel_variant=variant)
-            monkeypatch.setenv("REPRO_KERNEL", variant)
             with pytest.raises(ConfigurationError):
-                PimTriangleCounter()
+                PimTriangleCounter(kernel_variant=variant)
 
     def test_probe_pipeline_exact(self, small_graph):
         counter = PimTriangleCounter(num_colors=3, seed=2).with_options(

@@ -90,8 +90,6 @@ def _pipeline_snapshot(result) -> dict:
 
 def _run_pipeline(case: str, mode: str, graph: COOGraph | None = None) -> dict:
     graph = graph if graph is not None else get_dataset(*GRAPH)
-    # Explicit options: the counter's env-var defaults (REPRO_BATCH_EDGES,
-    # REPRO_PARTITIONER, ...) must not steer the run off the default path.
     options = PimTcOptions(num_colors=NUM_COLORS, seed=SEED, **PIPELINE_CASES[case])
     counter = PimTriangleCounter(options=options)
     run = counter.count if mode == "count" else counter.count_local

@@ -149,21 +149,6 @@ class TestRebalancing:
 
 
 class TestEnvWiring:
-    def test_env_var_selects_strategy(self, hub_tiny, monkeypatch):
-        monkeypatch.setenv("REPRO_PARTITIONER", "degree")
-        counter = PimTriangleCounter(num_colors=4, seed=0)
-        assert counter.options.partitioner == "degree"
-
-    def test_env_var_sets_rebalance_cv(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REBALANCE_CV", "0.25")
-        counter = PimTriangleCounter(num_colors=4, seed=0)
-        assert counter.options.rebalance_cv == 0.25
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARTITIONER", "degree")
-        counter = PimTriangleCounter(num_colors=4, seed=0, partitioner="hash")
-        assert counter.options.partitioner == "hash"
-
     def test_invalid_strategy_rejected(self):
         from repro.common.errors import ConfigurationError
 

@@ -325,6 +325,42 @@ class TestProtocol:
                     client.count("ghost")
                 assert err.value.code == "unknown_session"
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("max_queue_depth", 0),  # asyncio.Queue(0) would be unbounded
+            ("max_queue_depth", -3),
+            ("max_queue_depth", 2.5),
+            ("num_colors", 4.9),
+            ("num_colors", True),
+            ("num_colors", None),
+            ("seed", "7"),
+            ("misra_gries_k", 0.0),
+            ("misra_gries_t", False),
+            ("batch_edges", "64"),
+            ("memory_budget_bytes", 1e6),
+        ],
+    )
+    def test_open_rejects_non_integer_and_unbounded_options(self, option, value):
+        with running_service() as server:
+            with ServiceClient(server.url) as client:
+                with pytest.raises(ServiceError) as err:
+                    client.request("open", session="s", num_nodes=5, **{option: value})
+                assert err.value.code == "invalid_request"
+                assert server.service.sessions == {}
+                # null keeps its meaning where the option is optional
+                client.request(
+                    "open", session="s", num_nodes=5, batch_edges=None,
+                    memory_budget_bytes=None,
+                )
+
+    def test_serve_rejects_queue_depth_below_one(self, monkeypatch):
+        from repro.service import server
+
+        monkeypatch.setattr(server, "_serve", lambda args: pytest.fail("served"))
+        with pytest.raises(SystemExit):
+            server.main(["--port", "0", "--queue-depth", "0"])
+
     def test_oversized_frame_is_rejected(self):
         with pytest.raises(ProtocolError):
             encode_frame({"blob": "x" * (MAX_FRAME_BYTES + 1)})

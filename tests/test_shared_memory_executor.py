@@ -6,7 +6,7 @@ Three contracts pinned here:
   map returns, the run's ``free()`` completes, or a worker crashes; nothing
   is left in ``/dev/shm``.
 * **Bit-identical results** — the shm transport and the plain pickling path
-  (``REPRO_SHM=0``) produce identical counts, clocks and charges: a worker
+  (where shared memory is unavailable) produce identical counts, clocks and charges: a worker
   sees equal arrays either way.
 * **Header-sized control messages** — with the transport on, the pickled
   bytes per submitted chunk collapse to the object skeleton (measured via the
@@ -195,7 +195,7 @@ class TestTransportParity:
         shm_run = PimTriangleCounter(
             num_colors=3, seed=0, executor="process", jobs=2
         ).count(graph)
-        monkeypatch.setenv("REPRO_SHM", "0")
+        monkeypatch.setattr("repro.pimsim.executor.shm_available", lambda: False)
         pickle_run = PimTriangleCounter(
             num_colors=3, seed=0, executor="process", jobs=2
         ).count(graph)
@@ -210,12 +210,6 @@ class TestTransportParity:
                 ks.dma_bytes,
             )
 
-    def test_env_flag_selects_transport(self, graph, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
-        assert ProcessExecutor(jobs=2)._shm_wanted is False
-        monkeypatch.delenv("REPRO_SHM")
-        assert ProcessExecutor(jobs=2)._shm_wanted is True
-
     def test_payload_bytes_drop_to_header_size(self, graph, monkeypatch):
         """The serialization-counting hook: with the transport on, no routed
         edge array rides the pickle stream — per-chunk bytes stay at control
@@ -226,7 +220,7 @@ class TestTransportParity:
             PimTriangleCounter(
                 num_colors=3, seed=0, executor="process", jobs=2
             ).count(graph)
-            monkeypatch.setenv("REPRO_SHM", "0")
+            monkeypatch.setattr("repro.pimsim.executor.shm_available", lambda: False)
             PimTriangleCounter(
                 num_colors=3, seed=0, executor="process", jobs=2
             ).count(graph)
