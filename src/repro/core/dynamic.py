@@ -6,20 +6,30 @@ already-sorted sample, and the counting kernel processes just the new edges'
 wedges.  This module drives that loop:
 
 * :class:`DynamicPimCounter` keeps the coloring (the hash is drawn once, so
-  node colors are stable across updates) and each core's resident sample.
+  node colors are stable across updates) and every core's resident sample.
 * ``apply_update(batch)`` routes, transfers and merges the batch, charges the
   incremental kernel work (sort of the batch + one merge pass over the sample
   + per-new-edge binary search and merge intersection), and returns the new
   global count with the monochromatic correction re-applied.
 
-Functional counts are obtained by recounting each core's updated sample with
-the exact sparse-algebra routine and differencing — bit-identical to what an
-incremental kernel computes, with the *time* charged for the incremental
-work only (the recount is a simulator implementation detail; see DESIGN.md).
-A core whose resident sample did not change in a round (no routed edges, or
-only tombstones for absent edges) keeps its previous count without a recount.
-Reservoir and uniform sampling are disabled on this path, matching the
-paper's dynamic experiment which counts exactly.
+The host side of a round is one pass over all cores at once, not a loop over
+them.  The resident samples are one sorted int64 array of ``(core, u, v)``
+record keys, in the effective (remapped) id space.  An insert sorts the
+routed batch once and merges it in by binary search; a delete finds its
+tombstones the same way and compacts the array once.  Every core's charge
+quantities come from that one array and its one region table, and are then
+charged per core exactly as a per-core kernel would incur them.
+
+Functional counts are obtained by recounting the updated samples with the
+exact sparse-algebra routine — bit-identical to what an incremental kernel
+computes, with the *time* charged for the incremental work only (the recount
+is a simulator implementation detail; see DESIGN.md).  All cores whose sample
+changed in a round are recounted by *one* call: node ids are tagged with
+their core, so the samples are disjoint blocks of one graph, and the call
+returns one count per core.  A round in which no core's sample changed (no
+routed edges, or only tombstones for absent edges) makes no call.  Reservoir
+and uniform sampling are disabled on this path, matching the paper's dynamic
+experiment which counts exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..coloring.partition import ColoringPartitioner, EdgePartition
-from ..common.errors import ConfigurationError
+from ..common.errors import ConfigurationError, GraphFormatError
 from ..common.rng import RngFactory
 from ..graph.coo import COOGraph
 from ..pimsim.config import PimSystemConfig
@@ -47,7 +57,8 @@ __all__ = ["DynamicUpdateResult", "DynamicPimCounter"]
 class DynamicUpdateResult:
     """Outcome of one dynamic update round.
 
-    ``new_edges`` counts edges *added* by an insert round and is 0 for
+    ``new_edges`` counts edges *added* by an insert round (self-loops,
+    repeats and already-resident edges of the batch are not) and is 0 for
     deletions; ``removed_edges`` counts logical edges actually dropped by a
     delete round (tombstones for absent edges are not counted) and is 0 for
     inserts.
@@ -102,13 +113,68 @@ class DynamicUpdateResult:
         )
 
 
+def _ceil_log2(x: np.ndarray) -> np.ndarray:
+    """``ceil(log2(x))`` of positive integers, exactly: the bit length of
+    ``x - 1`` (``frexp`` reads it off the float exponent, exact below 2**53)."""
+    return np.frexp(np.asarray(x, dtype=np.int64) - 1)[1].astype(np.int64)
+
+
+def _rank(keys: np.ndarray, kind: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, first)``: a sorting permutation of ``keys`` and the mask, in
+    sorted order, of each distinct key's first entry.  (``np.unique`` is
+    hash-based on current NumPy and many times slower than a sort.)"""
+    order = np.argsort(keys, kind=kind)
+    ranked = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    return order, first
+
+
+def _first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first occurrence of each distinct key, in input order."""
+    order, first = _rank(keys, kind="stable")
+    mask = np.zeros(keys.size, dtype=bool)
+    mask[order[first]] = True
+    return mask
+
+
+def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Binary-search ``keys`` in ``sorted_keys``: ``(found mask, positions)``."""
+    pos = np.searchsorted(sorted_keys, keys)
+    found = pos < sorted_keys.size
+    found[found] = sorted_keys[pos[found]] == keys[found]
+    return found, pos
+
+
+def _original_ids(table: RemapTable, ids: np.ndarray) -> np.ndarray:
+    """Invert :func:`~repro.core.remap.apply_remap` on remapped node ids."""
+    fresh = ids >= table.num_nodes
+    out = ids.copy()
+    out[fresh] = table.nodes[table.remapped_num_nodes - 1 - ids[fresh]]
+    return out
+
+
 class DynamicPimCounter:
     """Incremental triangle counting over a stream of COO edge batches.
 
-    Precondition on insertions: a batch must not contain edges already
-    resident (COO appends would otherwise duplicate sample records and
-    over-count, exactly as on the real system).  Deletions are idempotent —
-    tombstones for absent edges are ignored.
+    Inserts add each undirected edge at most once.  Before routing, a batch
+    is canonicalized: self-loops are dropped, an edge repeated within the
+    batch (in either orientation) is kept once, and edges already resident
+    are dropped by looking up each edge's key on its home core.  The edges
+    that remain keep their order and orientation, so a batch of fresh,
+    distinct edges is routed and charged exactly as sent.  ``new_edges`` in
+    the result counts only the edges added; the batch size minus
+    ``new_edges`` were ignored.  Deletions are idempotent — tombstones for
+    absent edges are ignored.
+
+    Resident records are int64 keys packing ``(core, u, v)`` with ``s`` bits
+    per id, ``s = (num_nodes + misra_gries_t - 1).bit_length()``, so a
+    session needs ``num_dpus * 4**s < 2**63``; wider ``num_nodes`` raise
+    :class:`ConfigurationError` at construction.  The largest ``num_nodes +
+    misra_gries_t`` accepted is ``2**29`` at ``num_colors=4`` (20 cores),
+    ``2**28`` at 8 (120 cores) and ``2**26`` at 16 (816 cores); every bundled
+    dataset tier has fewer than ``2**18`` nodes.
     """
 
     def __init__(
@@ -147,9 +213,19 @@ class DynamicPimCounter:
             raise ConfigurationError("not enough PIM cores for this color count")
         self.clock = SimClock()
         self.dpus = self.system.allocate(self.partitioner.num_dpus, self.clock)
-        # Resident per-core samples, kept sorted/oriented between updates.
-        self._src = [np.empty(0, dtype=np.int64) for _ in range(self.partitioner.num_dpus)]
-        self._dst = [np.empty(0, dtype=np.int64) for _ in range(self.partitioner.num_dpus)]
+        # Record keys pack ``(core, u, v)``, ``u < v`` effective ids, into
+        # one int64: ``core << 2s | u << s | v``, with ``s`` bits covering the
+        # remapped id range.
+        self._bits = max(1, (self.num_nodes + self._mg_t - 1).bit_length())
+        if self.partitioner.num_dpus << (2 * self._bits) > np.iinfo(np.int64).max:
+            raise ConfigurationError(
+                f"num_nodes={self.num_nodes} is too large for int64 record keys "
+                f"at {self.partitioner.num_dpus} cores"
+            )
+        #: Every core's resident sample: sorted ``(core, u, v)`` record keys in
+        #: the effective id space of :attr:`_order_remap`.
+        self._keys = np.empty(0, dtype=np.int64)
+        self._order_remap: RemapTable | None = None
         self._raw_counts = np.zeros(self.partitioner.num_dpus, dtype=np.int64)
         self._estimate = 0
         self._round = 0
@@ -173,8 +249,7 @@ class DynamicPimCounter:
     @property
     def resident_bytes(self) -> int:
         """Bytes of sample records currently resident across all PIM cores."""
-        records = sum(int(src.size) for src in self._src)
-        return records * self.costs.edge_bytes
+        return int(self._keys.size) * self.costs.edge_bytes
 
     def routed_bytes_for(self, num_edges: int) -> int:
         """Routed-byte footprint of a ``num_edges`` batch: every edge is
@@ -196,8 +271,7 @@ class DynamicPimCounter:
             return
         self._closed = True
         self.dpus.free(phase="dynamic")
-        self._src = [np.empty(0, dtype=np.int64) for _ in self._src]
-        self._dst = [np.empty(0, dtype=np.int64) for _ in self._dst]
+        self._keys = np.empty(0, dtype=np.int64)
 
     def _check_open(self) -> None:
         if self._closed:
@@ -213,73 +287,181 @@ class DynamicPimCounter:
     def setup_seconds(self) -> float:
         return self.clock.get("setup")
 
-    # -------------------------------------------------------------------- update
-    def _merge_and_charge(
-        self, d: int, new_src: np.ndarray, new_dst: np.ndarray, remap: RemapTable | None
-    ) -> tuple[tuple[np.ndarray, np.ndarray, int] | None, float]:
-        """Merge one routed chunk into core ``d``'s resident sample.
+    # ------------------------------------------------------------ record keys
+    def _key(self, core: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Record keys of effective-id edges ``(a, b)`` on ``core``."""
+        s = self._bits
+        return (core << (2 * s)) | (np.minimum(a, b) << s) | np.maximum(a, b)
 
-        Charges the incremental kernel work (batch sort, one merge pass over
-        the resident sample, per-new-edge search + intersection) and returns
-        the oriented/sorted effective ``(u, v, num_nodes)`` of the merged
-        sample — ``None`` when the chunk routed nothing to ``d``, so the
-        sample and its count are unchanged — and the core's compute seconds
-        for this chunk.  The functional recount is left to the caller, which
-        runs it once after the last chunk.
+    def _split(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(core, u, v)`` of record keys."""
+        s = self._bits
+        mask = (1 << s) - 1
+        return keys >> (2 * s), (keys >> s) & mask, keys & mask
+
+    def _effective(
+        self, remap: RemapTable | None, src: np.ndarray, dst: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        return apply_remap(remap, src, dst) if remap is not None else (src, dst)
+
+    def _core_sizes(self) -> np.ndarray:
+        """Resident records of each core."""
+        starts = np.arange(self.partitioner.num_dpus + 1, dtype=np.int64) << (2 * self._bits)
+        return np.diff(np.searchsorted(self._keys, starts))
+
+    def _core_sample(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """Core ``d``'s resident ``(u, v)`` records in original node ids."""
+        s = self._bits
+        lo, hi = np.searchsorted(self._keys, [d << (2 * s), (d + 1) << (2 * s)])
+        u, v = self._split(self._keys[lo:hi])[1:]
+        if self._order_remap is not None:
+            u, v = _original_ids(self._order_remap, u), _original_ids(self._order_remap, v)
+        return u, v
+
+    @staticmethod
+    def _routed_records(part: EdgePartition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(core, src, dst)`` of every record a partition routed."""
+        core = np.repeat(np.arange(part.counts.size, dtype=np.int64), part.counts)
+        src = np.concatenate([src for src, _ in part.per_dpu])
+        dst = np.concatenate([dst for _, dst in part.per_dpu])
+        return core, src, dst
+
+    def _check_ids(self, batch: COOGraph) -> None:
+        """Ids at or above ``num_nodes`` would alias remapped ids in the keys."""
+        if batch.num_edges and max(int(batch.src.max()), int(batch.dst.max())) >= self.num_nodes:
+            raise GraphFormatError(f"node ID out of range for num_nodes={self.num_nodes}")
+
+    def _on_home_core(self, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(resident mask, key)`` of each edge's record on its home core:
+        one hash and one binary search per edge, ``O(b log R)``."""
+        es, ed = self._effective(self._order_remap, src, dst)
+        keys = self._key(self._canonical_dpus(src, dst), es, ed)
+        return _find(self._keys, keys)[0], keys
+
+    def _reorder(self, remap: RemapTable | None) -> None:
+        """Re-key the resident records under ``remap`` (one sort) when it is
+        not the table their order was built under."""
+        old = self._order_remap
+        if old is remap or (
+            old is not None and remap is not None and np.array_equal(old.nodes, remap.nodes)
+        ):
+            return
+        core, u, v = self._split(self._keys)
+        if old is not None:
+            u, v = _original_ids(old, u), _original_ids(old, v)
+        self._keys = np.sort(self._key(core, *self._effective(remap, u, v)))
+        self._order_remap = remap
+
+    # -------------------------------------------------------------------- update
+    def _fresh_edges(self, batch: COOGraph) -> COOGraph:
+        """The batch's edges that are not resident yet, each once, in order."""
+        src, dst = batch.src, batch.dst
+        lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+        keep = _first_occurrences(lo * np.int64(self.num_nodes) + hi) & (lo != hi)
+        keep[keep] = ~self._on_home_core(src[keep], dst[keep])[0]
+        if keep.all():
+            return batch
+        return COOGraph(src[keep], dst[keep], batch.num_nodes)
+
+    def _merge_and_charge(self, part: EdgePartition, remap: RemapTable | None) -> float:
+        """Merge one routed chunk into the resident records and charge it.
+
+        Charges each core the incremental kernel work (batch sort, one merge
+        pass over the resident sample, per-new-edge search + intersection)
+        and returns the slowest core's compute seconds for this chunk.  The
+        functional recount is left to the caller, which runs it once after
+        the last chunk.
         """
-        dpu = self.dpus.dpus[d]
-        dpu.reset_charges()
-        b = int(new_src.size)
-        if b == 0:
-            return None, dpu.compute_seconds()
-        old_m = self._src[d].size
-        merged_src = np.concatenate([self._src[d], new_src])
-        merged_dst = np.concatenate([self._dst[d], new_dst])
-        self._src[d], self._dst[d] = merged_src, merged_dst
-        if remap is not None:
-            eff_src, eff_dst = apply_remap(remap, merged_src, merged_dst)
-            eff_ns, eff_nd = apply_remap(remap, new_src, new_dst)
-            eff_nodes = remap.remapped_num_nodes
-        else:
-            eff_src, eff_dst = merged_src, merged_dst
-            eff_ns, eff_nd = new_src, new_dst
-            eff_nodes = self.num_nodes
-        u, v, _ = orient_and_sort(eff_src, eff_dst)
-        # Incremental kernel: sort the batch, one merge pass over the
-        # resident sample, then per-new-edge search + intersection.
-        sort_steps = b * max(1, int(np.ceil(np.log2(max(b, 2)))))
+        costs, s = self.costs, self._bits
+        b = part.counts
+        old_m = self._core_sizes()
+        merge_steps = np.zeros(b.size, dtype=np.int64)
+        regions = np.zeros(b.size, dtype=np.int64)
+        if b.any():
+            core, src, dst = self._routed_records(part)
+            es, ed = self._effective(remap, src, dst)
+            # One sort of the chunk's records: ids tagged with their core
+            # sort in (core, u, v) order.
+            u, v, _ = orient_and_sort((core << s) | es, (core << s) | ed)
+            new = (u << s) | (v & ((1 << s) - 1))
+            self._keys = np.insert(self._keys, np.searchsorted(self._keys, new), new)
+            # One region table over every core: a region is a (core, u) pair.
+            index = build_region_index(self._keys >> s)
+            regions = np.bincount(index.nodes >> s, minlength=b.size)
+            d_v = index.degrees_of(v)
+            _, ends_u = index.lookup_many(u)
+            # Forward neighbors of u strictly greater than v: records are
+            # (core, u, v)-sorted, so one key search finds the edge's own slot.
+            suffix = np.maximum(ends_u - np.searchsorted(self._keys, new, side="right"), 0)
+            steps = np.where(d_v > 0, suffix + d_v, 0)
+            merge_steps = np.bincount(u >> s, weights=steps, minlength=b.size).astype(np.int64)
         merge_pass = old_m + b
-        index = build_region_index(u)
-        nu = np.minimum(eff_ns, eff_nd)
-        nv = np.maximum(eff_ns, eff_nd)
-        d_v = index.degrees_of(nv)
-        _, ends_u = index.lookup_many(nu)
-        # Forward neighbors of u strictly greater than v: edges are
-        # (u, v)-sorted, so one key search finds the edge's own slot.
-        keys = u * np.int64(eff_nodes + 1) + v
-        pos = np.searchsorted(keys, nu * np.int64(eff_nodes + 1) + nv, side="right")
-        suffix = np.maximum(ends_u - pos, 0)
-        merge_steps = np.where(d_v > 0, suffix + d_v, 0).sum()
-        remap_instr = (
-            self.costs.remap_instr_per_edge * merge_pass if remap is not None else 0.0
-        )
+        sort_steps = b * _ceil_log2(np.maximum(b, 2))
+        search_steps = np.where(regions > 0, _ceil_log2(regions + 1), 1)
+        remap_instr = costs.remap_instr_per_edge * merge_pass if remap is not None else 0.0
         instr = (
             remap_instr
-            + self.costs.sort_instr_per_step * sort_steps
-            + self.costs.insert_instr_per_edge * merge_pass
-            + self.costs.edge_loop_instr * b
-            + self.costs.binsearch_instr_per_step * index.search_steps() * b
-            + self.costs.merge_instr_per_step * float(merge_steps)
+            + costs.sort_instr_per_step * sort_steps
+            + costs.insert_instr_per_edge * merge_pass
+            + costs.edge_loop_instr * b
+            + costs.binsearch_instr_per_step * search_steps * b
+            + costs.merge_instr_per_step * merge_steps
         )
-        dpu.charge_balanced(instr)
         # Merge (and remap) passes stream the sample through MRAM
         # (read + write) plus the counting phase's region reads.
         passes = 2 + (2 if remap is not None else 0)
-        nbytes = (passes * merge_pass + int(merge_steps)) * self.costs.edge_bytes
-        per = nbytes // dpu.config.num_tasklets
-        for tk in range(dpu.config.num_tasklets):
-            dpu.charge_mram_read(tk, int(per), requests=max(1, b // 8))
-        return (u, v, eff_nodes), dpu.compute_seconds()
+        nbytes = (passes * merge_pass + merge_steps) * costs.edge_bytes
+        return self._charge_cores(b > 0, instr, nbytes, b)
+
+    def _charge_cores(
+        self, active: np.ndarray, instr: np.ndarray, nbytes: np.ndarray, b: np.ndarray
+    ) -> float:
+        """Charge each ``active`` core its round's ``instr`` instructions and
+        ``nbytes`` MRAM bytes (split over its tasklets, one DMA request per 8
+        routed records) and return the slowest core's compute seconds."""
+        seconds = 0.0
+        for d, dpu in enumerate(self.dpus.dpus):
+            dpu.reset_charges()
+            if active[d]:
+                dpu.charge_balanced(float(instr[d]))
+                per = int(nbytes[d]) // dpu.config.num_tasklets
+                requests = max(1, int(b[d]) // 8)
+                for tk in range(dpu.config.num_tasklets):
+                    dpu.charge_mram_read(tk, per, requests=requests)
+            seconds = max(seconds, dpu.compute_seconds())
+        return seconds
+
+    def _recount(self, changed: np.ndarray) -> None:
+        """Recount every core in ``changed`` with one arithmetic call."""
+        if not changed.any():
+            return
+        u, v, num_nodes, groups = self._tagged_sample(changed)
+        counts = _count_forward_sparse(u, v, num_nodes, groups=groups)
+        fresh = np.zeros_like(self._raw_counts)
+        fresh[: counts.size] = counts
+        self._raw_counts[changed] = fresh[changed]
+
+    def _tagged_sample(
+        self, changed: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+        """The ``changed`` cores' records as one graph:
+        ``(u, v, num_nodes, groups)`` for the count arithmetic.
+
+        Node ids are tagged with their core (``core << s | id``), so the
+        cores' samples are disjoint blocks of one graph, and compacted to
+        their ranks among the ids that occur; ``groups`` names each compacted
+        node's core.  Sorted keys give ``u``-sorted records, ties by ``v``,
+        and compaction keeps that order.
+        """
+        s = self._bits
+        keys = self._keys[changed[self._keys >> (2 * s)]]
+        core_tag = (keys >> (2 * s)) << s
+        tagged = np.concatenate([keys >> s, core_tag | (keys & ((1 << s) - 1))])
+        order, first = _rank(tagged)
+        compact = np.empty_like(tagged)
+        compact[order] = np.cumsum(first) - 1
+        groups = tagged[order[first]] >> s
+        return compact[: keys.size], compact[keys.size :], int(first.sum()), groups
 
     @staticmethod
     def _endpoint_stream(batch: COOGraph) -> np.ndarray:
@@ -355,7 +537,7 @@ class DynamicPimCounter:
         """Gather counts, apply corrections, and close one update round.
 
         ``edge_delta`` is the signed change in resident logical edges: the
-        batch size for an insert, minus the edges actually removed for a
+        edges added by an insert, minus the edges actually removed for a
         delete.
         """
         # Gather the per-core counts (8 bytes each).
@@ -395,38 +577,31 @@ class DynamicPimCounter:
         One ingest loop (see :mod:`repro.core.ingest`): the update is one
         chunk, or chunks of ``batch_edges`` edges whose host routing overlaps
         the cores merging the previous chunk on the clock.  Per-core merged
-        samples do not depend on the chunking (routing is stable within every
-        chunk and chunks arrive in stream order), so the count matches
-        exactly.  The Misra-Gries summary takes the whole update once its
-        first chunk is on the bus, and each changed core is recounted once,
-        after the last chunk.
+        samples do not depend on the chunking (records are kept sorted), so
+        the count matches exactly.  The Misra-Gries summary takes the whole
+        update once its first chunk is on the bus, and the changed cores are
+        recounted together, once, after the last chunk.
         """
         self._check_open()
+        self._check_ids(batch)
+        batch = self._fresh_edges(batch)
         before_total = self.cumulative_seconds
         ingest = self._ingest_clock(overlap=self.batch_edges is not None)
         remap = None
-        final: list[tuple[np.ndarray, np.ndarray, int] | None] = [
-            None
-        ] * self.partitioner.num_dpus
+        changed = np.zeros(self.partitioner.num_dpus, dtype=bool)
         for k, s_chunk, d_chunk in iter_edge_batches(batch.src, batch.dst, self.batch_edges):
             part = self._route(ingest, s_chunk, d_chunk)
             if k == 0:
                 remap = self._update_mg(batch)
+                self._reorder(remap)
             chunk = ingest.dispatch()
-            times = []
-            for d, (new_src, new_dst) in enumerate(part.per_dpu):
-                state, seconds = self._merge_and_charge(d, new_src, new_dst, remap)
-                if state is not None:
-                    final[d] = state
-                times.append(seconds)
-            ingest.close(chunk, max(times, default=0.0))
+            ingest.close(chunk, self._merge_and_charge(part, remap))
+            changed |= part.counts > 0
         if ingest.chunks == 0:
             # An empty chunked update streams no chunk; the summary still
             # sees it (and re-broadcasts its table).
             self._update_mg(batch)
-        for d, state in enumerate(final):
-            if state is not None:
-                self._raw_counts[d] = _count_forward_sparse(*state)
+        self._recount(changed)
         return self._finish_round(before_total, "insert", batch.num_edges)
 
     # ------------------------------------------------------------------ delete
@@ -455,51 +630,37 @@ class DynamicPimCounter:
         ignored (idempotent deletes).
         """
         self._check_open()
+        self._check_ids(batch)
         before_total = self.cumulative_seconds
         ingest = self._ingest_clock(overlap=False)
-        partition = self._route(ingest, batch.src, batch.dst)
+        part = self._route(ingest, batch.src, batch.dst)
 
         # Deletions change which nodes are hot: retract the batch from the
         # Misra-Gries summary so stale hubs don't stay pinned in the remap.
         self._decay_mg(batch)
 
-        removed_edges = 0  # logical edges, counted on each edge's home core
-        times = []
-        for d, (del_src, del_dst) in enumerate(partition.per_dpu):
-            dpu = self.dpus.dpus[d]
-            dpu.reset_charges()
-            old_src, old_dst = self._src[d], self._dst[d]
-            m = int(old_src.size)
-            b = int(del_src.size)
-            if b and m:
-                n = np.int64(self.num_nodes + 1)
-                old_keys = np.minimum(old_src, old_dst) * n + np.maximum(old_src, old_dst)
-                del_keys = np.minimum(del_src, del_dst) * n + np.maximum(del_src, del_dst)
-                keep = ~np.isin(old_keys, del_keys)
-                dropped = ~keep
-                if dropped.any():
-                    # A record's replicas live on C cores; attribute the
-                    # logical removal to the replica on its home core rather
-                    # than dividing a physical-replica tally by an assumed
-                    # factor (which drifts whenever a tombstone's replicas
-                    # are not all resident).
-                    home = self._canonical_dpus(old_src[dropped], old_dst[dropped])
-                    removed_edges += int((home == d).sum())
-                    self._src[d] = old_src[keep]
-                    self._dst[d] = old_dst[keep]
-                    u, v, _ = orient_and_sort(self._src[d], self._dst[d])
-                    self._raw_counts[d] = _count_forward_sparse(u, v, self.num_nodes)
-                # Tombstone search + one compaction pass over the sample.
-                log_m = max(1, int(np.ceil(np.log2(m + 1))))
-                instr = (
-                    self.costs.binsearch_instr_per_step * log_m * b
-                    + self.costs.insert_instr_per_edge * m
-                )
-                dpu.charge_balanced(instr)
-                nbytes = 2 * m * self.costs.edge_bytes
-                per = nbytes // dpu.config.num_tasklets
-                for tk in range(dpu.config.num_tasklets):
-                    dpu.charge_mram_read(tk, int(per), requests=max(1, b // 8))
-            times.append(dpu.compute_seconds())
-        ingest.close(ingest.dispatch(), max(times, default=0.0))
+        b = part.counts
+        m = self._core_sizes()
+        changed = np.zeros(b.size, dtype=bool)
+        removed_edges = 0
+        if b.any() and self._keys.size:
+            # A record's replicas live on C cores; count each logical removal
+            # once, on the edge's home core, rather than dividing a
+            # physical-replica tally by an assumed factor.
+            resident, home_keys = self._on_home_core(batch.src, batch.dst)
+            removed_edges = int(_first_occurrences(home_keys[resident]).sum())
+            core, src, dst = self._routed_records(part)
+            es, ed = self._effective(self._order_remap, src, dst)
+            found, pos = _find(self._keys, self._key(core, es, ed))
+            changed[core[found]] = True
+            self._keys = np.delete(self._keys, pos[found])
+        # Tombstone search + one compaction pass over the sample.
+        instr = (
+            self.costs.binsearch_instr_per_step * _ceil_log2(m + 1) * b
+            + self.costs.insert_instr_per_edge * m
+        )
+        nbytes = 2 * m * self.costs.edge_bytes
+        seconds = self._charge_cores((b > 0) & (m > 0), instr, nbytes, b)
+        ingest.close(ingest.dispatch(), seconds)
+        self._recount(changed)
         return self._finish_round(before_total, "delete", -removed_edges)

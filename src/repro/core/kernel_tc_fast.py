@@ -89,8 +89,12 @@ class FastCountResult:
 
 
 def _count_forward_sparse(
-    u: np.ndarray, v: np.ndarray, num_nodes: int, chunk_nnz: int = 1 << 24
-) -> int:
+    u: np.ndarray,
+    v: np.ndarray,
+    num_nodes: int,
+    chunk_nnz: int = 1 << 24,
+    groups: np.ndarray | None = None,
+) -> int | np.ndarray:
     """Triangles of an oriented edge list via chunked ``(A @ A) .* A``.
 
     The sample arrives in the kernel's id orientation (``u < v``, the order
@@ -112,11 +116,19 @@ def _count_forward_sparse(
     state), the COO-to-CSR pass already emits each row's re-oriented
     (lower-id) entries ahead of its kept (higher-id) ones, both ascending, so
     the matrix comes out canonical with no index sort.
+
+    ``groups`` (optional, one non-negative int per node) counts several
+    disjoint samples in one call: every edge must join two nodes of the same
+    group, and the result is then an int64 array of per-group triangle
+    counts, of length ``groups.max() + 1``.  Each closed 2-path is credited to
+    its first node's group.
     """
     m = int(u.size)
-    if m == 0:
-        return 0
     n = int(num_nodes)
+    num_groups = int(groups.max()) + 1 if groups is not None and groups.size else 0
+    total: int | np.ndarray = 0 if groups is None else np.zeros(num_groups, dtype=np.int64)
+    if m == 0:
+        return total
     deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
     flip = np.take(deg, u) > np.take(deg, v)
     rows = np.where(flip, v, u)
@@ -126,28 +138,42 @@ def _count_forward_sparse(
     # upper bound when duplicate records were summed into one entry).
     out_deg = np.diff(adj.indptr).astype(np.int64)
     if int(out_deg @ (deg - out_deg)) <= chunk_nnz:
-        return _closed_paths(adj, adj)
+        return _closed_paths(adj, adj, groups, num_groups)
     # Wedge work per row: sum over the row's neighbors of their out-degree.
     indptr = adj.indptr
     cs = np.concatenate(([0], np.cumsum(out_deg[adj.indices])))
     cum = np.concatenate(([0], np.cumsum(cs[indptr[1:]] - cs[indptr[:-1]])))
-    total = 0
     row = 0
     while row < n:
         stop = int(np.searchsorted(cum, cum[row] + chunk_nnz, side="right"))
         stop = min(max(stop - 1, row + 1), n)
-        total += _closed_paths(adj[row:stop, :], adj)
+        row_groups = None if groups is None else groups[row:stop]
+        total += _closed_paths(adj[row:stop, :], adj, row_groups, num_groups)
         row = stop
     return total
 
 
-def _closed_paths(rows: sp.csr_matrix, adj: sp.csr_matrix) -> int:
+def _closed_paths(
+    rows: sp.csr_matrix,
+    adj: sp.csr_matrix,
+    row_groups: np.ndarray | None = None,
+    num_groups: int = 0,
+) -> int | np.ndarray:
     """``sum((rows @ adj) .* rows)``: 2-paths from ``rows`` closed by an edge.
 
     Sums the product's stored values directly; ``.sum()`` on the matrix would
     first canonicalize it, sorting every row's unsorted product indices.
+    With ``row_groups`` (the group of each row), returns the ``num_groups``
+    per-group sums as an int64 array instead.
     """
-    return int((rows @ adj).multiply(rows).data.sum())
+    closed = (rows @ adj).multiply(rows)
+    if row_groups is None:
+        return int(closed.data.sum())
+    # Per-row sums from the prefix sum of the stored values, then per group.
+    closed = closed.tocsr()
+    cs = np.concatenate(([0], np.cumsum(closed.data, dtype=np.int64)))
+    per_row = cs[closed.indptr[1:]] - cs[closed.indptr[:-1]]
+    return np.bincount(row_groups, weights=per_row, minlength=num_groups).astype(np.int64)
 
 
 def fast_count(

@@ -3,10 +3,11 @@
 One fuzz *iteration* is fully determined by a single integer seed: it draws a
 :class:`~repro.testing.strategies.GraphCase`, runs the differential grid
 (:mod:`repro.testing.differential`) and every metamorphic relation
-(:mod:`repro.testing.metamorphic`) on it, and reports any violation.  A run
-of ``budget`` iterations with base seed ``s`` uses iteration seeds
-``s, s+1, ..., s+budget-1`` — so a failure at iteration ``i`` names seed
-``s+i`` and is reproduced, alone, by::
+(:mod:`repro.testing.metamorphic`) on it, replays its raw edge stream
+through the dynamic counter (:mod:`repro.core.dynamic`), and reports any
+violation.  A run of ``budget`` iterations with base seed ``s`` uses
+iteration seeds ``s, s+1, ..., s+budget-1`` — so a failure at iteration
+``i`` names seed ``s+i`` and is reproduced, alone, by::
 
     repro-count --fuzz 1 --seed <printed seed>
 
@@ -23,7 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+import numpy as np
+
 from ..common.rng import RngFactory
+from ..core.dynamic import DynamicPimCounter
+from ..graph.coo import COOGraph
+from ..graph.triangles import count_triangles
 from .differential import DifferentialRunner
 from .metamorphic import ALL_RELATIONS, MetamorphicRelation
 from .strategies import GraphCase, sample_case
@@ -115,8 +121,69 @@ def metamorphic_checker(
     return check
 
 
+#: Insert batches the dynamic checker cuts each case's raw edge stream into.
+DYNAMIC_ROUNDS = 3
+
+
+def dynamic_checker() -> Checker:
+    """Checker replaying the case's raw edge stream through the dynamic counter.
+
+    The raw stream (self-loops, repeats and reversed copies included, for the
+    adversarial family) is cut into ``DYNAMIC_ROUNDS`` seeded insert batches;
+    after each insert, a seeded subset of that batch is deleted again, reversed.
+    Runs plain and with Misra-Gries remapping; after every round the count
+    must equal the oracle's count of the model edge set.
+    """
+
+    def check(case: GraphCase, rngs: RngFactory) -> list[str]:
+        raw, failures = case.raw, []
+        for label, mg in (("plain", {}), ("mg", {"misra_gries_k": 8, "misra_gries_t": 2})):
+            rng = rngs.stream(f"dynamic/{label}")
+            dyn = DynamicPimCounter(
+                raw.num_nodes,
+                num_colors=int(rng.integers(1, 4)),
+                seed=int(rng.integers(0, 2**31)),
+                **mg,
+            )
+            cuts = np.sort(rng.integers(0, raw.num_edges + 1, size=DYNAMIC_ROUNDS - 1))
+            bounds = [0, *cuts.tolist(), raw.num_edges]
+            model: set[tuple[int, int]] = set()
+            for r in range(DYNAMIC_ROUNDS):
+                batch = raw.slice(bounds[r], bounds[r + 1])
+                drop = rng.random(batch.num_edges) < 0.3
+                tombstones = COOGraph(batch.dst[drop], batch.src[drop], raw.num_nodes)
+                dyn.apply_update(batch)
+                model |= _edge_set(batch)
+                message = _mismatch(dyn, model, f"dynamic {label} round {r} insert")
+                if message is None:
+                    dyn.apply_deletion(tombstones)
+                    model -= _edge_set(tombstones)
+                    message = _mismatch(dyn, model, f"dynamic {label} round {r} delete")
+                if message is not None:
+                    failures.append(message)
+                    break
+            dyn.close()
+        return failures
+
+    return check
+
+
+def _mismatch(dyn: DynamicPimCounter, model: set[tuple[int, int]], where: str) -> str | None:
+    truth = count_triangles(COOGraph.from_edges(sorted(model), num_nodes=dyn.num_nodes))
+    if dyn.triangles == truth:
+        return None
+    return f"{where}: counted {dyn.triangles}, oracle says {truth}"
+
+
+def _edge_set(graph: COOGraph) -> set[tuple[int, int]]:
+    """Undirected edges of ``graph`` as ``(low, high)`` pairs, self-loops dropped."""
+    lo, hi = np.minimum(graph.src, graph.dst), np.maximum(graph.src, graph.dst)
+    keep = lo != hi
+    return set(zip(lo[keep].tolist(), hi[keep].tolist()))
+
+
 def default_checkers() -> list[Checker]:
-    return [differential_checker(), metamorphic_checker()]
+    return [differential_checker(), metamorphic_checker(), dynamic_checker()]
 
 
 # ------------------------------------------------------------------ execution

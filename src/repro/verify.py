@@ -14,8 +14,8 @@ any number the library produces:
    :mod:`repro.testing.statistical`);
 6. local counts sum to three times the global count;
 7. a small budget of the seeded correctness fuzzer
-   (:mod:`repro.testing.fuzz`) finds no differential or metamorphic
-   violation.
+   (:mod:`repro.testing.fuzz`) finds no differential, metamorphic or
+   dynamic-counter violation.
 
 Also exposed as ``repro-count --verify`` (and the fuzzer alone, with a
 bigger budget, as ``repro-count --fuzz N``).
@@ -52,7 +52,8 @@ def verify_installation(
 
     ``fuzz_budget`` controls how many seeded fuzz iterations the last pillar
     spends (each runs the full differential grid plus every metamorphic
-    relation on one generated graph).
+    relation on one generated graph, and replays its raw edge stream
+    through the dynamic counter).
     """
     from .baselines.reference import count_triangles_dense
     from .coloring.partition import ColoringPartitioner

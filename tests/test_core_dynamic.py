@@ -99,6 +99,39 @@ class TestChunkedUpdates:
             )
         assert chunked.triangles == count_triangles(g)
 
+    @pytest.mark.parametrize("mg", [False, True])
+    def test_chunked_rounds_pinned(self, mg):
+        """Chunked sessions' simulated round times, pinned bit-exactly
+        (values recorded from the per-core merge loop this counter
+        replaced); the default-path rounds are pinned by the ingest
+        characterization golden file."""
+        g = get_dataset("wikipedia", "tiny")
+        opts = dict(misra_gries_k=64, misra_gries_t=8) if mg else {}
+        dyn = DynamicPimCounter(g.num_nodes, num_colors=3, seed=2, batch_edges=97, **opts)
+        batches = g.split_batches(4)
+        rows = []
+        for i, batch in enumerate(batches):
+            r = dyn.apply_update(batch)
+            rows.append((r.triangles_total, r.round_seconds))
+            if i:
+                r = dyn.apply_deletion(batches[i - 1].slice(0, 150))
+                rows.append((r.triangles_total, r.round_seconds))
+        expected = {
+            False: [
+                (10, 0.001539531855651522), (98, 0.0021149469605992524),
+                (80, 0.00016639313931105307), (339, 0.0026726952301039386),
+                (306, 0.00019070230322301013), (1186, 0.003280073470852147),
+                (1091, 0.00021434936925542047),
+            ],
+            True: [
+                (10, 0.0016175541753433494), (98, 0.00225732065426742),
+                (80, 0.00018640272014937634), (339, 0.002851160352343538),
+                (306, 0.0002107118840613334), (1186, 0.0034087678378597157),
+                (1091, 0.00023435895009374375),
+            ],
+        }
+        assert rows == expected[mg]
+
     def test_deletion_after_chunked_inserts(self, small_graph):
         dyn = DynamicPimCounter(
             small_graph.num_nodes, num_colors=3, seed=1, batch_edges=29
@@ -169,3 +202,85 @@ class TestEmptyBatches:
         result = dyn.apply_update(COOGraph.from_edges([], num_nodes=small_graph.num_nodes))
         assert result.triangles_added == 0
         assert dyn.triangles == before
+
+
+def _graph(edges, num_nodes=6):
+    from repro.graph.coo import COOGraph
+
+    return COOGraph.from_edges(edges, num_nodes=num_nodes)
+
+
+class TestInsertCanonicalization:
+    """An insert adds each undirected edge at most once: self-loops, repeats
+    within the batch (either orientation) and resident edges are dropped
+    before routing, so no client batch can over-count."""
+
+    def test_resent_batch_adds_nothing(self):
+        dyn = DynamicPimCounter(6, num_colors=2, seed=0)
+        triangle = _graph([(0, 1), (1, 2), (0, 2)])
+        dyn.apply_update(triangle)
+        again = dyn.apply_update(triangle)
+        assert (dyn.triangles, dyn.cumulative_edges) == (1, 3)
+        assert (again.new_edges, again.triangles_added) == (0, 0)
+
+    def test_repeats_within_a_batch_count_once(self):
+        dyn = DynamicPimCounter(6, num_colors=2, seed=0)
+        result = dyn.apply_update(_graph([(0, 1), (1, 0), (1, 2), (0, 2)]))
+        assert (result.triangles_total, result.new_edges, result.cumulative_edges) == (1, 3, 3)
+
+    def test_self_loops_are_not_resident(self):
+        dyn = DynamicPimCounter(6, num_colors=2, seed=0)
+        result = dyn.apply_update(_graph([(2, 2), (0, 1)]))
+        assert (result.new_edges, dyn.cumulative_edges) == (1, 1)
+        assert dyn.resident_bytes == dyn.routed_bytes_for(1)
+        assert dyn.apply_deletion(_graph([(2, 2)])).removed_edges == 0
+
+    @pytest.mark.parametrize("mg", [False, True])
+    @pytest.mark.parametrize("batch_edges", [None, 3])
+    def test_noisy_batch_runs_as_its_fresh_edges(self, small_graph, mg, batch_edges):
+        """Outputs, charges and clocks of a batch with repeats, reversed
+        copies, self-loops and resident edges equal those of its fresh
+        edges sent alone, in order."""
+        from repro.graph.coo import COOGraph
+
+        opts = dict(num_colors=3, seed=3, batch_edges=batch_edges)
+        if mg:
+            opts.update(misra_gries_k=8, misra_gries_t=2)
+        noisy, clean = (DynamicPimCounter(small_graph.num_nodes, **opts) for _ in range(2))
+        head, fresh = small_graph.slice(0, 200), small_graph.slice(200, 260)
+        noisy.apply_update(head)
+        clean.apply_update(head)
+        src = np.concatenate([fresh.src, head.dst[:20], fresh.dst[:15], [7, 9]])
+        dst = np.concatenate([fresh.dst, head.src[:20], fresh.src[:15], [7, 9]])
+        order = np.argsort(np.r_[np.arange(fresh.num_edges), np.arange(37) + 0.5], kind="stable")
+        batch = COOGraph(src[order], dst[order], small_graph.num_nodes)
+        got = noisy.apply_update(batch).to_dict()
+        assert got == clean.apply_update(fresh).to_dict()
+        assert got["new_edges"] == fresh.num_edges
+        assert np.array_equal(noisy._raw_counts, clean._raw_counts)
+        assert noisy.triangles == count_triangles(small_graph.slice(0, 260))
+
+    def test_rejects_out_of_range_ids(self):
+        from repro.common.errors import GraphFormatError
+
+        dyn = DynamicPimCounter(4, num_colors=2, seed=0)
+        with pytest.raises(GraphFormatError):
+            dyn.apply_update(_graph([(0, 5)]))
+
+
+class TestRecordKeys:
+    def test_ceil_log2_matches_float_formula(self):
+        """The charge step counts equal the per-core ``ceil(log2(x))`` the
+        charges were defined with, at and around every power of two."""
+        from repro.core.dynamic import _ceil_log2
+
+        x = np.unique(np.concatenate([
+            np.arange(1, 5000),
+            *[(1 << k) + np.array([-1, 0, 1]) for k in range(2, 40)],
+        ]))
+        expect = [int(np.ceil(np.log2(int(i)))) for i in x]
+        assert _ceil_log2(x).tolist() == expect
+
+    def test_rejects_ids_too_wide_for_int64_keys(self):
+        with pytest.raises(ConfigurationError):
+            DynamicPimCounter(1 << 31, num_colors=4)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -174,29 +176,35 @@ def _absent_edges(graph: COOGraph, limit: int) -> list[tuple[int, int]]:
 
 
 def _recount(dyn: DynamicPimCounter) -> list[int]:
-    """Every core's count, recomputed from its resident sample."""
+    """Every core's count, recomputed from scratch from its resident sample."""
     return [
-        _count_forward_sparse(*orient_and_sort(src, dst)[:2], dyn.num_nodes)
-        for src, dst in zip(dyn._src, dyn._dst)
+        _count_forward_sparse(*orient_and_sort(*dyn._core_sample(d))[:2], dyn.num_nodes)
+        for d in range(dyn.partitioner.num_dpus)
     ]
+
+
+def _sizes(dyn: DynamicPimCounter) -> list[int]:
+    return [dyn._core_sample(d)[0].size for d in range(dyn.partitioner.num_dpus)]
 
 
 @pytest.fixture
 def arith_calls(monkeypatch):
-    """Cores' samples handed to the dynamic path's count arithmetic."""
+    """Per call to the dynamic path's count arithmetic: its records per
+    group (the group of a record is the core it belongs to)."""
     calls = []
 
-    def spy(u, v, num_nodes, *args, **kwargs):
-        calls.append(int(u.size))
-        return _count_forward_sparse(u, v, num_nodes, *args, **kwargs)
+    def spy(u, v, num_nodes, *args, groups=None, **kwargs):
+        calls.append(Counter(groups[u].tolist()))
+        return _count_forward_sparse(u, v, num_nodes, *args, groups=groups, **kwargs)
 
     monkeypatch.setattr(dynamic, "_count_forward_sparse", spy)
     return calls
 
 
 class TestUnchangedCoresSkipRecount:
-    """A core whose resident sample did not change keeps its count: no
-    arithmetic runs for it, and charges and clocks are as before."""
+    """A round recounts the cores whose resident sample changed, all in one
+    arithmetic call over exactly their records; a core whose sample did not
+    change keeps its count, and charges and clocks are as before."""
 
     def test_absent_deletion_is_identical_and_recount_free(self, small_graph, arith_calls):
         dyn = DynamicPimCounter(small_graph.num_nodes, num_colors=3, seed=4)
@@ -219,7 +227,7 @@ class TestUnchangedCoresSkipRecount:
         dyn = DynamicPimCounter(small_graph.num_nodes, num_colors=3, seed=4)
         dyn.apply_update(small_graph)
         arith_calls.clear()
-        sizes_before = [src.size for src in dyn._src]
+        sizes_before = _sizes(dyn)
         absent = _absent_edges(small_graph, 10)
         batch = COOGraph(
             np.concatenate([small_graph.src[:2], np.array([u for u, _ in absent])]),
@@ -227,8 +235,10 @@ class TestUnchangedCoresSkipRecount:
             small_graph.num_nodes,
         )
         dyn.apply_deletion(batch)
-        shrunk = [d for d, src in enumerate(dyn._src) if src.size < sizes_before[d]]
-        assert 0 < len(arith_calls) == len(shrunk) < dyn.partitioner.num_dpus
+        sizes = _sizes(dyn)
+        shrunk = {d: sizes[d] for d in range(len(sizes)) if sizes[d] < sizes_before[d]}
+        assert 0 < len(shrunk) < dyn.partitioner.num_dpus
+        assert arith_calls == [Counter(shrunk)]
         assert dyn._raw_counts.tolist() == _recount(dyn)
         remaining = COOGraph(small_graph.src[2:], small_graph.dst[2:], small_graph.num_nodes)
         assert dyn.triangles == count_triangles(remaining)
@@ -239,9 +249,11 @@ class TestUnchangedCoresSkipRecount:
         head, tail = small_graph.slice(0, 300), small_graph.slice(300, 302)
         dyn.apply_update(head)
         arith_calls.clear()
-        routed = int((dyn.partitioner.assign(tail).counts > 0).sum())
+        routed = np.flatnonzero(dyn.partitioner.assign(tail).counts)
         dyn.apply_update(tail)
-        assert 0 < len(arith_calls) == routed < dyn.partitioner.num_dpus
+        sizes = _sizes(dyn)
+        assert 0 < routed.size < dyn.partitioner.num_dpus
+        assert arith_calls == [Counter({int(d): sizes[d] for d in routed})]
         assert dyn._raw_counts.tolist() == _recount(dyn)
         assert dyn.triangles == count_triangles(small_graph.slice(0, 302))
 

@@ -156,6 +156,38 @@ class TestSparseCounting:
         u, v, _ = orient_and_sort(src, dst)
         assert _count_forward_sparse(u, v, 3) == 2 * 1 * 3 == _weighted_reference(u, v)
 
+    @pytest.mark.parametrize("chunk_nnz", [128, 1 << 24])
+    def test_grouped_counts_equal_separate_calls(self, rngs, chunk_nnz):
+        """Disjoint samples counted in one call, with node ids tagged by
+        group, give each group's separate count, duplicate records
+        included; a group with no edges counts zero."""
+        rng = rngs.stream("groups")
+        n, samples = 40, []
+        for g in range(4):
+            if g == 2:
+                samples.append((np.empty(0, dtype=np.int64),) * 2)
+                continue
+            src = rng.integers(0, n, 260)
+            dst = rng.integers(0, n, 260)
+            # Repeat some records, some of them reversed.
+            src = np.concatenate([src, src[:30], dst[30:50]])
+            dst = np.concatenate([dst, dst[:30], src[30:50]])
+            samples.append(orient_and_sort(src, dst)[:2])
+        separate = [_count_forward_sparse(u, v, n, chunk_nnz=chunk_nnz) for u, v in samples]
+        assert sum(separate) > 0
+        u = np.concatenate([g * n + su for g, (su, _) in enumerate(samples)])
+        v = np.concatenate([g * n + sv for g, (_, sv) in enumerate(samples)])
+        groups = np.repeat(np.arange(len(samples), dtype=np.int64), n)
+        grouped = _count_forward_sparse(u, v, n * len(samples), chunk_nnz=chunk_nnz, groups=groups)
+        assert grouped.dtype == np.int64
+        assert grouped.tolist() == separate
+        assert separate == [_weighted_reference(su, sv) for su, sv in samples]
+
+    def test_grouped_empty(self):
+        empty = np.array([], dtype=np.int64)
+        counts = _count_forward_sparse(empty, empty, 3, groups=np.array([0, 1, 1]))
+        assert counts.tolist() == [0, 0]
+
     def test_one_arithmetic_behind_every_caller(self):
         """The static kernel, the probe kernel and the dynamic counter all
         look the count arithmetic up as the same module-level function, the

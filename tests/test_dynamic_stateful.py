@@ -1,9 +1,14 @@
 """Stateful property test: the dynamic PIM counter vs a model graph.
 
 Hypothesis drives arbitrary interleavings of edge-batch insertions and
-deletions against :class:`DynamicPimCounter`; after every step the counter's
-triangle count must equal the oracle's count of the model edge set.  This is
-the fully-dynamic correctness argument in executable form.
+deletions against :class:`DynamicPimCounter`, plain or with Misra-Gries
+remapping, whole or in ingest chunks.  Batches are raw client batches:
+repeats, both orientations, self-loops and, for inserts, already-resident
+edges; the model is a set union or difference.  After every step the
+counter's triangle count must equal the oracle's count of the model edge
+set, its resident edge count the model's size, and every core's count a
+from-scratch recount of its sample.  This is the fully-dynamic correctness
+argument in executable form.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from hypothesis import strategies as st
 
 from repro.core.dynamic import DynamicPimCounter
+from repro.core.kernel_tc_fast import _count_forward_sparse
+from repro.core.orient import orient_and_sort
 from repro.graph.coo import COOGraph
 from repro.graph.triangles import count_triangles
 
@@ -25,16 +32,24 @@ def edge_batch():
         st.tuples(
             st.integers(min_value=0, max_value=NUM_NODES - 1),
             st.integers(min_value=0, max_value=NUM_NODES - 1),
-        ).filter(lambda e: e[0] != e[1]),
+        ),
         min_size=1,
         max_size=10,
     )
 
 
 class DynamicCounterMachine(RuleBasedStateMachine):
-    @initialize(colors=st.integers(min_value=1, max_value=4), seed=st.integers(0, 50))
-    def setup(self, colors, seed):
-        self.counter = DynamicPimCounter(NUM_NODES, num_colors=colors, seed=seed)
+    @initialize(
+        colors=st.integers(min_value=1, max_value=4),
+        seed=st.integers(0, 50),
+        misra_gries=st.booleans(),
+        batch_edges=st.sampled_from([None, 1, 3]),
+    )
+    def setup(self, colors, seed, misra_gries, batch_edges):
+        mg = dict(misra_gries_k=8, misra_gries_t=2) if misra_gries else {}
+        self.counter = DynamicPimCounter(
+            NUM_NODES, num_colors=colors, seed=seed, batch_edges=batch_edges, **mg
+        )
         self.model: set[tuple[int, int]] = set()
 
     def _model_graph(self) -> COOGraph:
@@ -44,26 +59,33 @@ class DynamicCounterMachine(RuleBasedStateMachine):
 
     @rule(edges=edge_batch())
     def insert(self, edges):
-        canonical = {(min(u, v), max(u, v)) for u, v in edges}
-        fresh = canonical - self.model
-        if not fresh:
-            return  # resending resident edges would duplicate sample entries
-        self.model |= fresh
-        batch = COOGraph.from_edges(sorted(fresh), num_nodes=NUM_NODES)
-        self.counter.apply_update(batch)
+        self.model |= {(min(u, v), max(u, v)) for u, v in edges if u != v}
+        self.counter.apply_update(COOGraph.from_edges(edges, num_nodes=NUM_NODES))
 
     @rule(edges=edge_batch())
     def delete(self, edges):
-        canonical = {(min(u, v), max(u, v)) for u, v in edges}
-        self.model -= canonical
-        batch = COOGraph.from_edges(sorted(canonical), num_nodes=NUM_NODES)
-        self.counter.apply_deletion(batch)
+        self.model -= {(min(u, v), max(u, v)) for u, v in edges}
+        self.counter.apply_deletion(COOGraph.from_edges(edges, num_nodes=NUM_NODES))
 
     @invariant()
     def count_matches_oracle(self):
         if not hasattr(self, "counter"):
             return
         assert self.counter.triangles == count_triangles(self._model_graph())
+
+    @invariant()
+    def edges_match_model(self):
+        if not hasattr(self, "counter"):
+            return
+        assert self.counter.cumulative_edges == len(self.model)
+
+    @invariant()
+    def core_counts_match_recount(self):
+        if not hasattr(self, "counter"):
+            return
+        for d, raw in enumerate(self.counter._raw_counts):
+            u, v, _ = orient_and_sort(*self.counter._core_sample(d))
+            assert raw == _count_forward_sparse(u, v, NUM_NODES)
 
     @invariant()
     def time_never_regresses(self):

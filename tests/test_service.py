@@ -354,6 +354,14 @@ class TestProtocol:
                     memory_budget_bytes=None,
                 )
 
+    def test_open_rejects_num_nodes_too_wide_for_record_keys(self):
+        with running_service() as server:
+            with ServiceClient(server.url) as client:
+                with pytest.raises(ServiceError) as err:
+                    client.request("open", session="s", num_nodes=1 << 40)
+                assert err.value.code == "invalid_request"
+                assert server.service.sessions == {}
+
     def test_serve_rejects_queue_depth_below_one(self, monkeypatch):
         from repro.service import server
 

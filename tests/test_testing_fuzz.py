@@ -14,6 +14,7 @@ from repro.testing.fuzz import (
     FuzzFailure,
     FuzzReport,
     default_checkers,
+    dynamic_checker,
     fuzz_iteration,
     metamorphic_checker,
     run_fuzz,
@@ -121,3 +122,28 @@ class TestFailureFormatting:
         report = FuzzReport(budget=1, base_seed=0)
         assert report.ok
         assert "all ok" in report.summary()
+
+
+class TestDynamicChecker:
+    """The dynamic checker replays raw streams (seed 17 draws the adversarial
+    family: repeats, reversed copies, self-loops) through the dynamic
+    counter."""
+
+    def test_default_grid_includes_it_and_passes(self):
+        checkers = default_checkers()
+        assert any(c.__qualname__.startswith("dynamic_checker") for c in checkers)
+        report = run_fuzz(4, seed=15, checkers=[dynamic_checker()])
+        assert report.ok, report.render()
+
+    def test_over_count_fails_and_replays_from_printed_seed(self, monkeypatch):
+        """With insert canonicalization switched off, raw repeats over-count;
+        the printed seed replays the identical failure alone."""
+        from repro.core.dynamic import DynamicPimCounter
+
+        monkeypatch.setattr(DynamicPimCounter, "_fresh_edges", lambda self, batch: batch)
+        report = run_fuzz(4, seed=15, checkers=[dynamic_checker()])
+        assert report.failures
+        for failure in report.failures:
+            replay = run_fuzz(1, seed=failure.seed, checkers=[dynamic_checker()])
+            assert replay.failures[0].messages == failure.messages
+            assert "oracle says" in failure.messages[0]
