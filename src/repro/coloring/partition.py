@@ -9,8 +9,8 @@ cores (one per choice of the triplet's third color).  The partition guarantees
   single-color-triplet core of that color counts *only* such triangles, making
   the final correction (subtract ``C-1`` times those counts) exact.
 
-The assignment is fully vectorized: one LUT gather per third-color choice and
-one stable grouping sort.
+The assignment is fully vectorized: one LUT row gather per edge and one stable
+grouping sort (a radix sort on narrow core-id keys).
 """
 
 from __future__ import annotations
@@ -101,20 +101,37 @@ class ColoringPartitioner:
                 for _ in range(t)
             ]
             return EdgePartition(per_dpu=empty, counts=np.zeros(t, dtype=np.int64), edges_in=0)
-        cu = self.node_colors(src)
-        cv = self.node_colors(dst)
-        # For each third color x, the LUT gives the target core of (cu, cv, x).
-        dpu_ids = np.empty((c, m), dtype=np.int64)
-        for x in range(c):
-            dpu_ids[x] = self.table.lut[cu, cv, np.int64(x)]
-        flat_ids = dpu_ids.ravel()
-        flat_src = np.tile(src.astype(np.int64, copy=False), c)
-        flat_dst = np.tile(dst.astype(np.int64, copy=False), c)
+        lo = min(int(src.min()), int(dst.min()))
+        hi = max(int(src.max()), int(dst.max()))
+        if lo >= 0 and hi < 2 * m:
+            # No more ids than endpoints: hash each id in the range once.
+            colors = self.node_colors(np.arange(hi + 1, dtype=np.int64))
+            cu, cv = colors[src], colors[dst]
+        else:
+            cu, cv = self.node_colors(src), self.node_colors(dst)
+        # Row ``cu * c + cv`` of the LUT lists the target core of the edge's
+        # copy for each third color x.  Core ids are stored in the narrowest
+        # unsigned type that holds them (uint8 or uint16 for any paper-sized
+        # system), on which NumPy's stable argsort is a radix sort: the same
+        # permutation as on int64 ids, so each core's records keep their
+        # arrival order (copy-major, then edge order).
+        pair = cu * c + cv
+        cores = self.table.lut.reshape(c * c, c).astype(np.min_scalar_type(t - 1))
+        flat_ids = np.ascontiguousarray(cores[pair].T).ravel()
         order = np.argsort(flat_ids, kind="stable")
-        flat_ids = flat_ids[order]
-        flat_src = flat_src[order]
-        flat_dst = flat_dst[order]
-        counts = np.bincount(flat_ids, minlength=t).astype(np.int64)
+        src64 = src.astype(np.int64, copy=False)
+        dst64 = dst.astype(np.int64, copy=False)
+        if lo >= 0 and hi < 1 << 31:
+            # One gather moves both endpoints, packed into one int64.
+            packed = np.tile((src64 << 32) | dst64, c)[order]
+            flat_src, flat_dst = packed >> 32, packed & 0xFFFFFFFF
+        else:
+            flat_src, flat_dst = np.tile(src64, c)[order], np.tile(dst64, c)[order]
+        # Records per core, from the edges per color pair.
+        pair_edges = np.bincount(pair, minlength=c * c)
+        counts = np.bincount(
+            cores.ravel(), weights=np.repeat(pair_edges, c), minlength=t
+        ).astype(np.int64)
         bounds = np.concatenate(([0], np.cumsum(counts)))
         per_dpu = [
             (flat_src[bounds[i] : bounds[i + 1]], flat_dst[bounds[i] : bounds[i + 1]])

@@ -426,8 +426,7 @@ class DynamicPimCounter:
                 dpu.charge_balanced(float(instr[d]))
                 per = int(nbytes[d]) // dpu.config.num_tasklets
                 requests = max(1, int(b[d]) // 8)
-                for tk in range(dpu.config.num_tasklets):
-                    dpu.charge_mram_read(tk, per, requests=requests)
+                dpu.charge_mram_read_all(per, requests=requests)
             seconds = max(seconds, dpu.compute_seconds())
         return seconds
 
@@ -492,12 +491,12 @@ class DynamicPimCounter:
         self._mg.update_array(self._endpoint_stream(batch))
         return self._refresh_remap()
 
-    def _decay_mg(self, batch: COOGraph) -> RemapTable | None:
-        """Retract one deletion batch from the Misra-Gries summary.
+    def _decay_mg(self, removed: COOGraph) -> RemapTable | None:
+        """Retract the edges a deletion removed from the Misra-Gries summary.
 
         Without this, a hub whose edges were all deleted would stay pinned in
         the summary's top-``t`` forever and keep winning remap slots over
-        nodes that are *currently* hot.  Decaying the deleted endpoints (and
+        nodes that are *currently* hot.  Decaying the removed endpoints (and
         re-broadcasting the refreshed table, charged like any remap refresh)
         keeps the summary tracking the live graph.  Counts are unaffected
         either way — the remap is a bijection — which the differential grid
@@ -505,7 +504,7 @@ class DynamicPimCounter:
         """
         if self._mg is None:
             return None
-        self._mg.decay_array(self._endpoint_stream(batch))
+        self._mg.decay_array(self._endpoint_stream(removed))
         return self._refresh_remap()
 
     def _ingest_clock(self, overlap: bool) -> IngestClock:
@@ -635,20 +634,22 @@ class DynamicPimCounter:
         ingest = self._ingest_clock(overlap=False)
         part = self._route(ingest, batch.src, batch.dst)
 
-        # Deletions change which nodes are hot: retract the batch from the
-        # Misra-Gries summary so stale hubs don't stay pinned in the remap.
-        self._decay_mg(batch)
-
         b = part.counts
         m = self._core_sizes()
         changed = np.zeros(b.size, dtype=bool)
-        removed_edges = 0
+        removed = np.empty(0, dtype=np.int64)
         if b.any() and self._keys.size:
             # A record's replicas live on C cores; count each logical removal
             # once, on the edge's home core, rather than dividing a
             # physical-replica tally by an assumed factor.
             resident, home_keys = self._on_home_core(batch.src, batch.dst)
-            removed_edges = int(_first_occurrences(home_keys[resident]).sum())
+            removed = np.flatnonzero(resident)[_first_occurrences(home_keys[resident])]
+        # Deletions change which nodes are hot: retract the removed edges
+        # from the Misra-Gries summary so stale hubs don't stay pinned in the
+        # remap.  Tombstones for absent edges (and repeats) retract nothing.
+        self._decay_mg(COOGraph(batch.src[removed], batch.dst[removed], batch.num_nodes))
+        removed_edges = int(removed.size)
+        if removed_edges:
             core, src, dst = self._routed_records(part)
             es, ed = self._effective(self._order_remap, src, dst)
             found, pos = _find(self._keys, self._key(core, es, ed))

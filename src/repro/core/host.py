@@ -87,8 +87,7 @@ def _ingest_chunk(dpu: Dpu, payload: tuple) -> tuple[EdgeReservoir, int, float]:
     dpu.charge_balanced(n_in * (costs.insert_instr_per_edge + extra))
     added = reservoir.size - resident
     per_tasklet_bytes = added * costs.edge_bytes / dpu.config.num_tasklets
-    for tk in range(dpu.config.num_tasklets):
-        dpu.charge_mram_write(tk, int(per_tasklet_bytes), requests=1)
+    dpu.charge_mram_write_all(int(per_tasklet_bytes), requests=1)
     return reservoir, n_in, dpu.compute_seconds()
 
 

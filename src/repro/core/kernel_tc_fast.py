@@ -35,7 +35,7 @@ from ..common.errors import KernelLaunchError
 from ..pimsim.dpu import Dpu
 from ..pimsim.wram import WramPlan
 from .orient import orient_and_sort
-from .region_index import build_region_index
+from .region_index import RegionIndex, build_region_index
 from .remap import RemapTable, apply_remap
 
 __all__ = ["KernelCosts", "FastCountResult", "fast_count", "TriangleCountKernel"]
@@ -176,6 +176,17 @@ def _closed_paths(
     return np.bincount(row_groups, weights=per_row, minlength=num_groups).astype(np.int64)
 
 
+def _forward_degrees(index: RegionIndex, v: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Forward degree (region length) of each edge's second node.
+
+    One gather from a dense ``num_nodes``-entry table filled from the region
+    table; equals ``index.degrees_of(v)`` without a binary search per edge.
+    """
+    table = np.zeros(num_nodes, dtype=np.int64)
+    table[index.nodes] = index.ends - index.starts
+    return table[v]
+
+
 def fast_count(
     src: np.ndarray,
     dst: np.ndarray,
@@ -187,8 +198,12 @@ def fast_count(
 
     The count comes from :func:`_count_forward_sparse`; every *charge* is
     priced on the id-oriented, sorted ``(u, v)`` arrays of
-    :func:`~repro.core.orient.orient_and_sort` and its region index, so the
-    cost model never sees how the arithmetic orients the edges.
+    :func:`~repro.core.orient.orient_and_sort`, so the cost model never sees
+    how the arithmetic orients the edges.  The per-edge terms come from linear
+    passes instead of per-edge searches of the region index: ``d_v`` from a
+    dense forward-degree table (:func:`_forward_degrees`), and the end of
+    ``u``'s region from the index's run lengths, repeated once per edge of
+    the region.
     """
     costs = costs or KernelCosts()
     u, v, ostats = orient_and_sort(src, dst, wram_run_edges=costs.edge_buffer_edges)
@@ -203,21 +218,26 @@ def fast_count(
 
     # --- per-edge cost quantities -------------------------------------------
     bs_steps = index.search_steps()
-    d_v = index.degrees_of(v)  # forward degree of each edge's second node
+    d_v = _forward_degrees(index, v, num_nodes)
     # Suffix of u's own region after the edge itself.
-    rid = np.searchsorted(index.nodes, u)
-    suffix_u = index.ends[rid] - np.arange(m, dtype=np.int64) - 1
+    suffix_u = np.repeat(index.ends, index.ends - index.starts) - np.arange(1, m + 1)
     merge_steps = np.where(d_v > 0, suffix_u + d_v, 0)
-    per_edge_instr = (
-        costs.edge_loop_instr
-        + costs.binsearch_instr_per_step * bs_steps
-        + costs.merge_instr_per_step * merge_steps
-    )
 
     # --- tasklet assignment: buffer blocks round-robin -----------------------
+    # Per-edge terms are integers, summed per block of ``buf`` edges and then
+    # per tasklet (exact in any order); the per-step costs multiply the sums.
     buf = costs.edge_buffer_edges
-    tasklet_of_edge = (np.arange(m, dtype=np.int64) // buf) % t
-    instr = np.bincount(tasklet_of_edge, weights=per_edge_instr, minlength=t)
+    block_starts = np.arange(0, m, buf)
+    tasklet_of_block = np.arange(block_starts.size) % t
+
+    def per_tasklet(per_edge: np.ndarray) -> np.ndarray:
+        blocks = np.add.reduceat(per_edge, block_starts)
+        return np.bincount(tasklet_of_block, weights=blocks, minlength=t)
+
+    edges = np.bincount(tasklet_of_block, weights=np.diff(block_starts, append=m), minlength=t)
+    instr = (
+        costs.edge_loop_instr + costs.binsearch_instr_per_step * bs_steps
+    ) * edges + costs.merge_instr_per_step * per_tasklet(merge_steps)
     # Balanced charges: orient + sort + region build + triangle bookkeeping.
     balanced = (
         costs.orient_instr * m
@@ -229,22 +249,12 @@ def fast_count(
 
     # --- DMA traffic ----------------------------------------------------------
     eb = costs.edge_bytes
-    # Edge-buffer streaming: one request per block.
-    edge_bytes_per_tasklet = np.bincount(
-        tasklet_of_edge, weights=np.full(m, float(eb)), minlength=t
-    )
-    blocks_per_tasklet = np.bincount(
-        np.arange((m + buf - 1) // buf, dtype=np.int64) % t, minlength=t
-    ).astype(np.float64)
-    # v-region reads, buffered through the region WRAM buffer.
-    v_bytes = d_v.astype(np.float64) * eb
-    v_requests = np.where(d_v > 0, np.ceil(v_bytes / costs.region_buffer_bytes), 0.0)
-    dma_bytes = edge_bytes_per_tasklet + np.bincount(
-        tasklet_of_edge, weights=v_bytes, minlength=t
-    )
-    dma_requests = blocks_per_tasklet + np.bincount(
-        tasklet_of_edge, weights=v_requests, minlength=t
-    )
+    # Edge-buffer streaming (one request per block), plus v-region reads
+    # buffered through the region WRAM buffer.
+    blocks_per_tasklet = np.bincount(tasklet_of_block, minlength=t).astype(np.float64)
+    v_requests = np.ceil(d_v * eb / costs.region_buffer_bytes)
+    dma_bytes = eb * edges + eb * per_tasklet(d_v)
+    dma_requests = blocks_per_tasklet + per_tasklet(v_requests)
     # Sort passes stream the whole sample through MRAM (read + write).
     sort_mram = 2 * m * eb * ostats.mram_passes
     dma_bytes += sort_mram / t
@@ -311,11 +321,9 @@ class TriangleCountKernel:
             num_nodes = table.remapped_num_nodes
             # One pass over the sample: read, look up both endpoints, write back.
             dpu.charge_balanced(self.costs.remap_instr_per_edge * src.size)
-            per = np.zeros(dpu.config.num_tasklets)
-            per += 2.0 * src.size * self.costs.edge_bytes / dpu.config.num_tasklets
-            for tk in range(dpu.config.num_tasklets):
-                dpu.charge_mram_read(tk, int(per[tk] / 2), requests=1)
-                dpu.charge_mram_write(tk, int(per[tk] / 2), requests=1)
+            share = int(src.size * self.costs.edge_bytes / dpu.config.num_tasklets)
+            dpu.charge_mram_read_all(share, requests=1)
+            dpu.charge_mram_write_all(share, requests=1)
 
         result = fast_count(
             src,
@@ -325,12 +333,10 @@ class TriangleCountKernel:
             num_tasklets=dpu.config.num_tasklets,
         )
         dpu.charge_instructions_all(result.per_tasklet_instr)
-        for tk in range(dpu.config.num_tasklets):
-            dpu.charge_mram_read(
-                tk,
-                int(result.per_tasklet_dma_bytes[tk]),
-                requests=int(result.per_tasklet_dma_requests[tk]),
-            )
+        dpu.charge_mram_read_all(
+            result.per_tasklet_dma_bytes.astype(np.int64),
+            requests=result.per_tasklet_dma_requests.astype(np.int64),
+        )
         dpu.mram.store(
             "triangle_count", np.array([result.triangles], dtype=np.int64), count_write=False
         )

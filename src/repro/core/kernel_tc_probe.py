@@ -27,7 +27,7 @@ import numpy as np
 from ..common.errors import KernelLaunchError
 from ..pimsim.dpu import Dpu
 from ..pimsim.wram import WramPlan
-from .kernel_tc_fast import KernelCosts, _count_forward_sparse
+from .kernel_tc_fast import KernelCosts, _count_forward_sparse, _forward_degrees
 from .orient import orient_and_sort
 from .region_index import build_region_index
 from .remap import RemapTable, apply_remap
@@ -73,7 +73,7 @@ def probe_count(
 
     triangles = _count_forward_sparse(u, v, num_nodes)
 
-    d_v = index.degrees_of(v)
+    d_v = _forward_degrees(index, v, num_nodes)
     log_m = max(1, int(np.ceil(np.log2(m + 1))))
     region_steps = index.search_steps()
     probes_per_edge = d_v
@@ -164,12 +164,10 @@ class ProbeTriangleCountKernel:
             src, dst, num_nodes, costs=self.costs, num_tasklets=dpu.config.num_tasklets
         )
         dpu.charge_instructions_all(result.per_tasklet_instr)
-        for tk in range(dpu.config.num_tasklets):
-            dpu.charge_mram_read(
-                tk,
-                int(result.per_tasklet_dma_bytes[tk]),
-                requests=int(result.per_tasklet_dma_requests[tk]),
-            )
+        dpu.charge_mram_read_all(
+            result.per_tasklet_dma_bytes.astype(np.int64),
+            requests=result.per_tasklet_dma_requests.astype(np.int64),
+        )
         dpu.mram.store(
             "triangle_count", np.array([result.triangles], dtype=np.int64), count_write=False
         )

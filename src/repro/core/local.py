@@ -119,21 +119,18 @@ class LocalCountKernel:
             src, dst, eff_nodes, costs=self.costs, num_tasklets=dpu.config.num_tasklets
         )
         dpu.charge_instructions_all(stats.per_tasklet_instr)
-        for tk in range(dpu.config.num_tasklets):
-            dpu.charge_mram_read(
-                tk,
-                int(stats.per_tasklet_dma_bytes[tk]),
-                requests=int(stats.per_tasklet_dma_requests[tk]),
-            )
+        dpu.charge_mram_read_all(
+            stats.per_tasklet_dma_bytes.astype(np.int64),
+            requests=stats.per_tasklet_dma_requests.astype(np.int64),
+        )
         # Accumulator updates: three read-modify-write int64 ops per triangle,
         # write-combined through the WRAM acc buffer.
         triangles = stats.triangles
         dpu.charge_balanced(self.accumulate_instr * triangles)
         rmw_bytes = 3 * triangles * 16  # 8 read + 8 write per increment
         per = rmw_bytes // dpu.config.num_tasklets
-        for tk in range(dpu.config.num_tasklets):
-            dpu.charge_mram_write(tk, int(per // 2), requests=max(1, triangles // 64))
-            dpu.charge_mram_read(tk, int(per // 2), requests=0)
+        dpu.charge_mram_write_all(int(per // 2), requests=max(1, triangles // 64))
+        dpu.charge_mram_read_all(int(per // 2), requests=0)
 
         local = local_counts_from_arrays(src, dst, eff_nodes)
         if table is not None and table.t > 0:

@@ -43,6 +43,13 @@ def orient_and_sort(
 ) -> tuple[np.ndarray, np.ndarray, OrientStats]:
     """Orient every edge ``u < v`` and sort lexicographically.
 
+    The lexicographic order is one ``np.sort`` of packed int64 keys
+    ``u << b | v``, with ``b`` the bit length of the largest ``v``, unpacked
+    by shift and mask.  Sorted values do not depend on stability, so the
+    arrays equal a ``lexsort`` element by element, duplicates included, and
+    keep the input dtype.  Samples whose keys would not fit in int64 (or
+    with negative ids) fall back to ``lexsort``.
+
     Parameters
     ----------
     src, dst:
@@ -62,10 +69,9 @@ def orient_and_sort(
     if drop_self_loops:
         keep = u != v
         u, v = u[keep], v[keep]
-    order = np.lexsort((v, u))
-    u = u[order]
-    v = v[order]
     m = int(u.size)
+    if m:
+        u, v = _sort_pairs(u, v)
     if m > 1:
         sort_steps = int(m * np.ceil(np.log2(m)))
         runs = max(1, int(np.ceil(m / max(1, wram_run_edges))))
@@ -74,3 +80,13 @@ def orient_and_sort(
         sort_steps = 0
         mram_passes = 1 if m else 0
     return u, v, OrientStats(edges=m, sort_steps=sort_steps, mram_passes=mram_passes)
+
+
+def _sort_pairs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(u, v)`` pairs (``u <= v``, non-empty) in lexicographic order."""
+    b = int(v.max()).bit_length()
+    if int(u.min()) < 0 or (int(u.max()) + 1) << b > 1 << 63:
+        order = np.lexsort((v, u))
+        return u[order], v[order]
+    keys = np.sort((u.astype(np.int64) << b) | v.astype(np.int64, copy=False))
+    return (keys >> b).astype(u.dtype), (keys & ((1 << b) - 1)).astype(v.dtype)

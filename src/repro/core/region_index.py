@@ -33,8 +33,11 @@ class RegionIndex:
     def lookup(self, node: int) -> tuple[int, int]:
         """Binary search one node; returns ``(start, end)`` (empty if absent).
 
-        Mirrors the DPU's per-edge search; the production kernel prices
-        whole samples with :meth:`lookup_many`.
+        Mirrors the DPU's per-edge search.  The static kernels price a whole
+        sample from its run lengths instead (see
+        :func:`~repro.core.kernel_tc_fast.fast_count`); the dynamic counter,
+        whose core-tagged ids rule out a dense table, uses
+        :meth:`lookup_many`.
         """
         i = int(np.searchsorted(self.nodes, node))
         if i < self.nodes.size and self.nodes[i] == node:
@@ -68,10 +71,17 @@ class RegionIndex:
 
 
 def build_region_index(u_sorted: np.ndarray) -> RegionIndex:
-    """Build the region table from the sorted first-node column."""
-    if u_sorted.size == 0:
+    """Build the region table from the sorted first-node column.
+
+    One run-length pass: a region starts wherever the column changes value.
+    """
+    m = int(u_sorted.size)
+    if m == 0:
         empty = np.empty(0, dtype=np.int64)
         return RegionIndex(nodes=empty, starts=empty.copy(), ends=empty.copy())
-    nodes, starts = np.unique(u_sorted, return_index=True)
-    ends = np.append(starts[1:], u_sorted.size).astype(np.int64)
-    return RegionIndex(nodes=nodes.astype(np.int64), starts=starts.astype(np.int64), ends=ends)
+    change = np.empty(m, dtype=bool)
+    change[0] = True
+    np.not_equal(u_sorted[1:], u_sorted[:-1], out=change[1:])
+    starts = np.flatnonzero(change).astype(np.int64, copy=False)
+    ends = np.append(starts[1:], m)
+    return RegionIndex(nodes=u_sorted[starts].astype(np.int64), starts=starts, ends=ends)

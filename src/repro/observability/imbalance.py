@@ -208,15 +208,14 @@ class ImbalanceLedger:
 def _heaviest_node(src: np.ndarray, dst: np.ndarray) -> tuple[int, int]:
     """Most frequent endpoint of one core's stored sample (node, multiplicity).
 
-    Ties break toward the smallest node ID (``np.unique`` returns sorted
-    nodes and ``argmax`` takes the first maximum), keeping the ledger
-    deterministic.
+    Ties break toward the smallest node ID (``argmax`` takes the first
+    maximum of the id-indexed counts), keeping the ledger deterministic.
     """
     if src.size == 0:
         return -1, 0
-    nodes, counts = np.unique(np.concatenate([src, dst]), return_counts=True)
+    counts = np.bincount(np.concatenate([src, dst]))
     best = int(np.argmax(counts))
-    return int(nodes[best]), int(counts[best])
+    return best, int(counts[best])
 
 
 def collect_ledger(

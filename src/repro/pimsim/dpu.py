@@ -101,16 +101,46 @@ class Dpu:
     def charge_mram_write(self, tasklet: int, nbytes: int, requests: int = 1) -> None:
         self._charge_dma(tasklet, nbytes, requests, self.cost.mram_write_bandwidth)
 
-    def _charge_dma(self, tasklet: int, nbytes: int, requests: int, bandwidth: float) -> None:
-        self._check_tasklet(tasklet)
-        if nbytes < 0 or requests < 0:
+    def charge_mram_read_all(self, nbytes, requests=1) -> None:
+        """Charge every tasklet a DMA read at once (index = tasklet ID).
+
+        ``nbytes`` and ``requests`` are per-tasklet integer vectors or
+        scalars applied to every tasklet; the charge equals one
+        :meth:`charge_mram_read` call per tasklet, bit for bit.
+        """
+        self._charge_dma_all(nbytes, requests, self.cost.mram_read_bandwidth)
+
+    def charge_mram_write_all(self, nbytes, requests=1) -> None:
+        """Vector form of :meth:`charge_mram_write` (see :meth:`charge_mram_read_all`)."""
+        self._charge_dma_all(nbytes, requests, self.cost.mram_write_bandwidth)
+
+    def _charge_dma_all(self, nbytes, requests, bandwidth: float) -> None:
+        nbytes = self._per_tasklet(nbytes)
+        requests = self._per_tasklet(requests)
+        if (nbytes < 0).any() or (requests < 0).any():
             raise KernelLaunchError("DMA charge must be non-negative")
         setup = requests * self.cost.mram_dma_latency_cycles / self.config.clock_hz
-        self._dma_seconds[tasklet] += setup + nbytes / bandwidth
-        self._dma_requests += int(requests)
-        self._dma_bytes += int(nbytes)
-        self.lifetime_dma_requests += int(requests)
-        self.lifetime_dma_bytes += int(nbytes)
+        self._dma_seconds += setup + nbytes / bandwidth
+        self._dma_requests += int(requests.sum())
+        self._dma_bytes += int(nbytes.sum())
+        self.lifetime_dma_requests += int(requests.sum())
+        self.lifetime_dma_bytes += int(nbytes.sum())
+
+    def _charge_dma(self, tasklet: int, nbytes: int, requests: int, bandwidth: float) -> None:
+        # The other tasklets are charged exact zeros, which leave them as-is.
+        self._check_tasklet(tasklet)
+        charge = np.zeros((2, self.config.num_tasklets), dtype=np.int64)
+        charge[:, tasklet] = nbytes, requests
+        self._charge_dma_all(charge[0], charge[1], bandwidth)
+
+    def _per_tasklet(self, values) -> np.ndarray:
+        """``values`` as an int64 vector with one entry per tasklet."""
+        arr = np.asarray(values, dtype=np.int64)
+        if arr.ndim and arr.shape != self._dma_seconds.shape:
+            raise KernelLaunchError(
+                f"expected {self._dma_seconds.size} tasklet charges, got shape {arr.shape}"
+            )
+        return np.broadcast_to(arr, self._dma_seconds.shape)
 
     def _check_tasklet(self, tasklet: int) -> None:
         if not (0 <= tasklet < self.config.num_tasklets):

@@ -237,3 +237,60 @@ class TestDegreePartitioner:
             strategy_partitioner("auto", 3, rng)  # resolved before this layer
         with pytest.raises(ConfigurationError):
             strategy_partitioner("nope", 3, rng)
+
+
+def _argsort_reference(p: ColoringPartitioner, src: np.ndarray, dst: np.ndarray):
+    """Routing by a stable argsort on int64 core ids, each endpoint hashed:
+    the formulation the radix grouping must reproduce exactly."""
+    c, m = p.num_colors, src.size
+    cu, cv = p.node_colors(src), p.node_colors(dst)
+    ids = np.concatenate([p.table.lut[cu, cv, np.int64(x)] for x in range(c)])
+    order = np.argsort(ids.astype(np.int64), kind="stable")
+    flat_src = np.tile(src.astype(np.int64), c)[order]
+    flat_dst = np.tile(dst.astype(np.int64), c)[order]
+    counts = np.bincount(ids, minlength=p.num_dpus)
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    return counts, [
+        (flat_src[lo:hi], flat_dst[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+class TestRadixGroupingEqualsArgsort:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        edges=st.lists(
+            st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=80
+        ),
+        c=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=5),
+        ids=st.sampled_from(["dense", "sparse", "wide"]),
+    )
+    def test_same_routing_and_per_core_order(self, edges, c, seed, ids):
+        src = np.array([a for a, _ in edges], dtype=np.int64)
+        dst = np.array([b for _, b in edges], dtype=np.int64)
+        partitioners = [make_partitioner(c, seed)]
+        if ids == "wide":  # ids past 31 bits: no packed record gather
+            src, dst = src + 2**33, dst + 2**33
+        else:
+            if ids == "sparse":  # more ids than endpoints: hashed per endpoint
+                src, dst = src * 1009 + 7, dst * 1009 + 7
+            g = COOGraph(src, dst, int(max(src.max(), dst.max())) + 1)
+            partitioners.append(make_degree_partitioner(c, seed).fit(g))
+        for p in partitioners:
+            part = p.assign_arrays(src, dst)
+            counts, per_dpu = _argsort_reference(p, src, dst)
+            assert np.array_equal(part.counts, counts)
+            assert part.counts.dtype == np.int64
+            for (s, d), (rs, rd) in zip(part.per_dpu, per_dpu):
+                assert s.dtype == rs.dtype and d.dtype == rd.dtype
+                assert np.array_equal(s, rs) and np.array_equal(d, rd)
+
+    def test_core_ids_wider_than_a_byte(self):
+        """C=32 routes to 5984 cores, so the keys are uint16, not uint8."""
+        p = make_partitioner(32)
+        assert p.num_dpus == 5984
+        g = erdos_renyi(200, 600, RngFactory(1).stream("g")).canonicalize()
+        counts, per_dpu = _argsort_reference(p, g.src, g.dst)
+        part = p.assign(g)
+        assert np.array_equal(part.counts, counts)
+        assert all(np.array_equal(s, rs) for (s, _), (rs, _) in zip(part.per_dpu, per_dpu))

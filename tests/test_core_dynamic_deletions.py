@@ -322,3 +322,24 @@ class TestMisraGriesDecay:
         assert dyn.triangles == 0
         assert dyn.cumulative_edges == 0
         assert dyn._mg.items_seen == 0
+
+    def test_absent_tombstones_do_not_decay(self):
+        """Only edges actually removed retract from the summary: deleting a
+        spoke that is no longer resident, or naming it twice in one batch,
+        leaves the hub's counter at its live degree."""
+        hub, n = 0, 21
+        spokes = np.arange(1, n, dtype=np.int64)
+        dyn = DynamicPimCounter(n, num_colors=3, seed=2,
+                                misra_gries_k=8, misra_gries_t=2)
+        dyn.apply_update(COOGraph(np.full(spokes.size, hub), spokes, n))
+        before = dyn._mg.frequency_lower_bound(hub)
+        assert before >= 19
+        spoke = COOGraph(np.array([hub]), np.array([5]), n)
+        twice = COOGraph(np.array([hub, 5]), np.array([5, hub]), n)
+        assert dyn.apply_deletion(twice).removed_edges == 1
+        assert dyn._mg.frequency_lower_bound(hub) == before - 1
+        for _ in range(5):
+            assert dyn.apply_deletion(spoke).removed_edges == 0
+        assert dyn._mg.frequency_lower_bound(hub) == before - 1
+        assert dyn._mg.frequency_lower_bound(5) == 0
+        assert dyn.cumulative_edges == 19

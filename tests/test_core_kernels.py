@@ -15,9 +15,11 @@ from repro.core.kernel_tc_fast import (
     KernelCosts,
     TriangleCountKernel,
     _count_forward_sparse,
+    _forward_degrees,
     fast_count,
 )
 from repro.core.orient import orient_and_sort
+from repro.core.region_index import build_region_index
 from repro.graph.generators import erdos_renyi, hub_graph
 from repro.graph.triangles import count_triangles
 from repro.testing.strategies import graph_cases
@@ -91,6 +93,90 @@ class TestFastKernel:
         per_edge_flat = rf.merge_steps_charged / rf.edges
         per_edge_hub = rh.merge_steps_charged / rh.edges
         assert per_edge_hub > 3 * per_edge_flat
+
+
+def _searched_pricing(src, dst, costs: KernelCosts, t: int, triangles: int):
+    """Per-tasklet charges priced edge by edge with binary searches of the
+    region table: the formulation ``fast_count``'s linear passes replace.
+    Returns ``(merge_steps, instr, dma_bytes, dma_requests)``."""
+    u, v, ostats = orient_and_sort(src, dst, wram_run_edges=costs.edge_buffer_edges)
+    index = build_region_index(u)
+    m, eb, buf = u.size, costs.edge_bytes, costs.edge_buffer_edges
+    if m == 0:
+        return 0, np.zeros(t), np.zeros(t), np.zeros(t)
+    d_v = index.degrees_of(v)
+    rid = np.searchsorted(index.nodes, u)
+    merge = np.where(d_v > 0, index.ends[rid] - np.arange(m) - 1 + d_v, 0)
+    per_edge = (
+        costs.edge_loop_instr
+        + costs.binsearch_instr_per_step * index.search_steps()
+        + costs.merge_instr_per_step * merge
+    )
+    tasklet = (np.arange(m) // buf) % t
+    instr = np.bincount(tasklet, weights=per_edge, minlength=t)
+    instr += (
+        costs.orient_instr * m
+        + costs.sort_instr_per_step * ostats.sort_steps
+        + costs.region_instr_per_edge * m
+        + costs.triangle_instr * triangles
+    ) / t
+    v_bytes = d_v.astype(np.float64) * eb
+    dma_bytes = np.bincount(tasklet, weights=np.full(m, float(eb)), minlength=t)
+    dma_bytes += np.bincount(tasklet, weights=v_bytes, minlength=t)
+    dma_requests = np.bincount(np.arange((m + buf - 1) // buf) % t, minlength=t).astype(float)
+    dma_requests += np.bincount(
+        tasklet,
+        weights=np.where(d_v > 0, np.ceil(v_bytes / costs.region_buffer_bytes), 0.0),
+        minlength=t,
+    )
+    sort_mram = 2 * m * eb * ostats.mram_passes
+    dma_bytes += sort_mram / t
+    dma_requests += np.ceil(sort_mram / t / costs.edge_buffer_bytes)
+    return int(merge.sum()), instr, dma_bytes, dma_requests
+
+
+class TestLinearPricingEqualsSearches:
+    """``fast_count`` prices from a dense degree table and run lengths; its
+    charges must equal the per-edge binary-search pricing bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        g=graph_strategy(max_nodes=40, max_edges=150),
+        int32=st.booleans(),
+        buffer_bytes=st.sampled_from([16, 64, 1024]),
+        t=st.sampled_from([1, 3, 16]),
+    )
+    def test_charges_match(self, g, int32, buffer_bytes, t):
+        src, dst = (g.src.astype(np.int32), g.dst.astype(np.int32)) if int32 else (g.src, g.dst)
+        costs = KernelCosts(edge_buffer_bytes=buffer_bytes)
+        got = fast_count(src, dst, g.num_nodes, costs=costs, num_tasklets=t)
+        merge, instr, dma_bytes, dma_requests = _searched_pricing(
+            src, dst, costs, t, got.triangles
+        )
+        assert got.merge_steps_charged == merge
+        assert np.array_equal(got.per_tasklet_instr, instr)
+        assert np.array_equal(got.per_tasklet_dma_bytes, dma_bytes)
+        assert np.array_equal(got.per_tasklet_dma_requests, dma_requests)
+
+    def test_hub_sample_charges_match(self, rngs):
+        g = hub_graph(500, 3000, 2, 300, rngs.stream("hub")).canonicalize()
+        got = fast_count(g.src, g.dst, g.num_nodes)
+        merge, instr, dma_bytes, dma_requests = _searched_pricing(
+            g.src, g.dst, KernelCosts(), 16, got.triangles
+        )
+        assert got.merge_steps_charged == merge
+        assert np.array_equal(got.per_tasklet_instr, instr)
+        assert np.array_equal(got.per_tasklet_dma_bytes, dma_bytes)
+        assert np.array_equal(got.per_tasklet_dma_requests, dma_requests)
+
+    @settings(max_examples=40, deadline=None)
+    @given(g=graph_strategy(max_nodes=40, max_edges=150))
+    def test_forward_degrees_match_lookup(self, g):
+        u, v, _ = orient_and_sort(g.src, g.dst)
+        index = build_region_index(u)
+        d_v = _forward_degrees(index, v, g.num_nodes)
+        assert d_v.dtype == np.int64
+        assert np.array_equal(d_v, index.degrees_of(v))
 
 
 class TestSparseCounting:

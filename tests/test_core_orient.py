@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.orient import orient_and_sort
 
@@ -69,3 +71,56 @@ class TestOrientAndSort:
         keep = lo != hi
         expected = sorted((lo[keep] * n + hi[keep]).tolist())
         assert got == expected
+
+
+def _lexsort_reference(src, dst, drop_self_loops=True):
+    """The lexsort formulation the packed-key sort must reproduce."""
+    u, v = np.minimum(src, dst), np.maximum(src, dst)
+    if drop_self_loops:
+        keep = u != v
+        u, v = u[keep], v[keep]
+    order = np.lexsort((v, u))
+    return u[order], v[order]
+
+
+def _ids(top: int):
+    """Edge columns over ``[0, top)``, ids clustered near both ends so
+    duplicates, self-loops and ids near ``top`` all occur."""
+    ends = st.one_of(
+        st.integers(0, 6), st.integers(max(0, top - 6), top - 1), st.integers(0, top - 1)
+    )
+    return st.lists(st.tuples(ends, ends), max_size=60)
+
+
+class TestKeySortEqualsLexsort:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        edges=st.one_of(_ids(2**31), _ids(64)),
+        dtype=st.sampled_from([np.int32, np.int64]),
+        drop=st.booleans(),
+    )
+    def test_matches_lexsort(self, edges, dtype, drop):
+        src = np.array([a for a, _ in edges], dtype=dtype)
+        dst = np.array([b for _, b in edges], dtype=dtype)
+        u, v, stats = orient_and_sort(src, dst, drop_self_loops=drop)
+        ru, rv = _lexsort_reference(src, dst, drop)
+        assert u.dtype == ru.dtype and v.dtype == rv.dtype
+        assert np.array_equal(u, ru) and np.array_equal(v, rv)
+        assert stats.edges == ru.size
+
+    @pytest.mark.parametrize(
+        "src, dst",
+        [
+            ([], []),
+            ([7], [3]),
+            ([2**31 - 1, 0], [2**31 - 2, 2**31 - 1]),
+            # Keys that do not fit in int64, and negative ids: lexsort path.
+            ([2**40, 5, 2**40], [2**41, 2**40, 2**41]),
+            ([-3, 4, -3], [2, -1, 2]),
+        ],
+    )
+    def test_edge_cases_match_lexsort(self, src, dst):
+        src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+        u, v, _ = orient_and_sort(src, dst)
+        ru, rv = _lexsort_reference(src, dst)
+        assert np.array_equal(u, ru) and np.array_equal(v, rv)

@@ -14,11 +14,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.api import PimTriangleCounter
 from repro.graph.coo import COOGraph
 from repro.graph.datasets import get_dataset
 from repro.graph.generators import erdos_renyi
+from repro.observability.imbalance import _heaviest_node
 from repro.observability import (
     ImbalanceLedger,
     SKEW_METRICS,
@@ -232,3 +235,18 @@ class TestRendering:
         assert svg.startswith("<svg")
         assert "count_seconds" in svg
         assert "DPU id" in svg
+
+
+@settings(max_examples=50, deadline=None)
+@given(edges=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=40))
+def test_heaviest_node_matches_unique_reference(edges):
+    """Most frequent endpoint, ties to the smallest id, as ``np.unique``
+    counts it."""
+    src = np.array([a for a, _ in edges], dtype=np.int32)
+    dst = np.array([b for _, b in edges], dtype=np.int32)
+    if not edges:
+        assert _heaviest_node(src, dst) == (-1, 0)
+        return
+    nodes, counts = np.unique(np.concatenate([src, dst]), return_counts=True)
+    best = int(np.argmax(counts))
+    assert _heaviest_node(src, dst) == (int(nodes[best]), int(counts[best]))

@@ -35,6 +35,50 @@ class TestCharging:
         with pytest.raises(KernelLaunchError):
             dpu.charge_instructions_all(np.zeros(3))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nbytes=st.lists(st.integers(0, 1 << 24), min_size=16, max_size=16),
+        requests=st.lists(st.integers(0, 5000), min_size=16, max_size=16),
+        write=st.booleans(),
+    )
+    def test_vector_dma_equals_per_tasklet_calls(self, nbytes, requests, write):
+        loop, vec = make_dpu(), make_dpu()
+        for d in (loop, vec):
+            d.charge_mram_read(3, 1000, requests=2)  # prior charges accumulate
+        one = loop.charge_mram_write if write else loop.charge_mram_read
+        for tk in range(16):
+            one(tk, nbytes[tk], requests=requests[tk])
+        (vec.charge_mram_write_all if write else vec.charge_mram_read_all)(
+            np.array(nbytes), requests=np.array(requests)
+        )
+        # The per-tasklet formula in Python floats, one charge at a time.
+        cost, clock = CostModel(), DpuConfig().clock_hz
+        bw = cost.mram_write_bandwidth if write else cost.mram_read_bandwidth
+        expect = [0.0] * 16
+        expect[3] += 2 * cost.mram_dma_latency_cycles / clock + 1000 / cost.mram_read_bandwidth
+        for tk in range(16):
+            expect[tk] += requests[tk] * cost.mram_dma_latency_cycles / clock + nbytes[tk] / bw
+        assert vec.charge_vectors()[1].tolist() == expect
+        for a, b in zip(loop.charge_vectors(), vec.charge_vectors()):
+            assert np.array_equal(a, b)
+        assert loop.run_stats() == vec.run_stats()
+        assert loop.lifetime_dma_bytes == vec.lifetime_dma_bytes
+        assert loop.lifetime_dma_requests == vec.lifetime_dma_requests
+
+    def test_vector_dma_scalar_applies_to_every_tasklet(self):
+        loop, vec = make_dpu(), make_dpu()
+        for tk in range(16):
+            loop.charge_mram_write(tk, 640, requests=1)
+        vec.charge_mram_write_all(640, requests=1)
+        assert np.array_equal(loop.charge_vectors()[1], vec.charge_vectors()[1])
+
+    def test_vector_dma_checked(self):
+        dpu = make_dpu()
+        with pytest.raises(KernelLaunchError):
+            dpu.charge_mram_read_all(np.zeros(3, dtype=np.int64))
+        with pytest.raises(KernelLaunchError):
+            dpu.charge_mram_read_all(np.full(16, -1))
+
     def test_reset(self):
         dpu = make_dpu()
         dpu.charge_instructions(0, 1000)
